@@ -24,13 +24,9 @@ func captureStream(t *testing.T, name string, footprint, maxRefs uint64) trace.B
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec trace.Recorder
-	RunLimited(w, &rec, maxRefs)
-	b := make(trace.Batch, len(rec.Accesses))
-	for i, a := range rec.Accesses {
-		b[i] = trace.MakeRef(a.VA, a.Write)
-	}
-	return b
+	var rec batchRecorder
+	RunBatch(w, &rec, maxRefs)
+	return rec.refs
 }
 
 // unevenBatches slices a stream into batches of cycling, boundary-hostile
@@ -195,131 +191,49 @@ func TestBatchReplayMatchesScalarMultiprogram(t *testing.T) {
 	}
 }
 
-// scalarStream is streamWorkload without the BatchRunner leg, so RunBatch
-// takes the scalar Access path.
-type scalarStream struct{ n uint64 }
+// batchRecorder retains every delivered ref in order.
+type batchRecorder struct{ refs trace.Batch }
 
-func (s scalarStream) Name() string           { return "scalar-stream" }
-func (s scalarStream) FootprintBytes() uint64 { return s.n * 64 }
-func (s scalarStream) Run(sink Sink) {
-	for i := uint64(0); i < s.n; i++ {
-		sink.Access(i*64, false)
-	}
-}
+func (r *batchRecorder) ProcessBatch(b trace.Batch) { r.refs = append(r.refs, b...) }
 
-// TestRunBatchTrimsTailToLimit pins the cap when a finite workload ends
-// between flush boundaries: with maxRefs below the workload's length and
-// the whole stream shorter than one DefaultBatchSize flush, the buffered
-// tail must be trimmed to the cap on both producer legs.
-func TestRunBatchTrimsTailToLimit(t *testing.T) {
-	var scalarLeg batchCountSink
-	if got := RunBatch(scalarStream{n: 3000}, &scalarLeg, 100); got != 100 {
-		t.Errorf("scalar leg: RunBatch returned %d, want 100", got)
-	}
-	if scalarLeg.n != 100 {
-		t.Errorf("scalar leg: sink saw %d refs, want 100", scalarLeg.n)
-	}
-	var batchLeg batchCountSink
-	if got := RunBatch(streamWorkload{n: 3000}, &batchLeg, 100); got != 100 {
-		t.Errorf("batch leg: RunBatch returned %d, want 100", got)
-	}
-	if batchLeg.n != 100 {
-		t.Errorf("batch leg: sink saw %d refs, want 100", batchLeg.n)
-	}
-	// A workload shorter than the cap delivers everything.
-	var under batchCountSink
-	if got := RunBatch(scalarStream{n: 50}, &under, 100); got != 50 || under.n != 50 {
-		t.Errorf("short workload: n=%d sink=%d, want 50", got, under.n)
-	}
-	// A cap exactly at the workload length delivers exactly the workload.
-	var exact batchCountSink
-	if got := RunBatch(scalarStream{n: 100}, &exact, 100); got != 100 || exact.n != 100 {
-		t.Errorf("exact cap: n=%d sink=%d, want 100", got, exact.n)
-	}
-}
-
-// dualCountSink counts on both the scalar and batch interfaces, so
-// RunLimited routes it through RunBatch the way it routes the Simulator.
-type dualCountSink struct{ n uint64 }
-
-func (s *dualCountSink) Access(uint64, bool)        { s.n++ }
-func (s *dualCountSink) ProcessBatch(b trace.Batch) { s.n += uint64(len(b)) }
-
-// TestRunLimitedCapsBatchSinks reproduces the over-delivery bug at the
-// RunLimited boundary: a BatchSink fed a finite workload longer than the
-// cap but shorter than a flush boundary must see exactly maxRefs.
+// TestRunLimitedCapsBatchSinks reproduces the over-delivery regression: a
+// finite 3000-ref stream, shorter than one DefaultBatchSize batch, capped at
+// 100 must deliver exactly 100 references to the BatchSink, not its whole
+// first batch. The name predates RunLimited's removal; RunBatch is now the
+// only capped path.
 func TestRunLimitedCapsBatchSinks(t *testing.T) {
-	var s dualCountSink
-	if got := RunLimited(scalarStream{n: 3000}, &s, 100); got != 100 {
-		t.Errorf("RunLimited returned %d, want 100", got)
+	var s batchCountSink
+	if got := RunBatch(streamWorkload{n: 3000}, &s, 100); got != 100 {
+		t.Errorf("RunBatch returned %d, want 100", got)
 	}
 	if s.n != 100 {
 		t.Errorf("sink saw %d refs, want 100", s.n)
 	}
 }
 
-// mixedStream produces through both legs in one run — a whole batch, then
-// scalar Access calls, then another batch — which a strict
-// either-Access-or-ProcessBatch harness would reject with an index panic
-// on the nil Access buffer.
-type mixedStream struct{}
-
-func (mixedStream) Name() string           { return "mixed" }
-func (mixedStream) FootprintBytes() uint64 { return 30 * 64 }
-func (mixedStream) Run(sink Sink) {
-	for i := uint64(0); i < 30; i++ {
-		sink.Access(i*64, false)
-	}
-}
-
-func (mixedStream) RunBatches(sink trace.BatchSink) {
-	b := make(trace.Batch, 10)
-	fill := func(base uint64) trace.Batch {
-		for j := range b {
-			b[j] = trace.MakeRef((base+uint64(j))*64, false)
+// TestRunBatchTrimsTailToLimit pins the cap on finite streams: a stream
+// longer than the cap delivers exactly maxRefs references, in order, whether
+// the cap falls inside the stream's only batch or between later batch
+// boundaries. A stream shorter than the cap delivers all of itself.
+func TestRunBatchTrimsTailToLimit(t *testing.T) {
+	for _, tc := range []struct{ n, max, want uint64 }{
+		{3000, 100, 100},
+		{50, 100, 50},
+		{100, 100, 100},
+		{10_000, trace.DefaultBatchSize + 904, trace.DefaultBatchSize + 904},
+		{10_000, 2 * trace.DefaultBatchSize, 2 * trace.DefaultBatchSize},
+	} {
+		var rec batchRecorder
+		if got := RunBatch(streamWorkload{n: tc.n}, &rec, tc.max); got != tc.want {
+			t.Errorf("%d refs capped at %d: RunBatch returned %d, want %d", tc.n, tc.max, got, tc.want)
 		}
-		return b
-	}
-	sink.ProcessBatch(fill(0))
-	s := sink.(Sink) // the harness's limit sink has a scalar leg too
-	for i := uint64(10); i < 20; i++ {
-		s.Access(i*64, false)
-	}
-	sink.ProcessBatch(fill(20))
-}
-
-// batchRecorder retains every delivered ref in order.
-type batchRecorder struct{ refs trace.Batch }
-
-func (r *batchRecorder) ProcessBatch(b trace.Batch) { r.refs = append(r.refs, b...) }
-
-// TestRunBatchMixedModeProducer: a producer that interleaves Access calls
-// with whole batches keeps stream order and the limit.
-func TestRunBatchMixedModeProducer(t *testing.T) {
-	var rec batchRecorder
-	if got := RunBatch(mixedStream{}, &rec, 0); got != 30 {
-		t.Fatalf("RunBatch returned %d, want 30", got)
-	}
-	if len(rec.refs) != 30 {
-		t.Fatalf("sink saw %d refs, want 30", len(rec.refs))
-	}
-	for i, r := range rec.refs {
-		if r.VA() != uint64(i)*64 {
-			t.Fatalf("ref %d out of order: VA %#x, want %#x", i, r.VA(), uint64(i)*64)
+		if uint64(len(rec.refs)) != tc.want {
+			t.Errorf("%d refs capped at %d: sink saw %d refs, want %d", tc.n, tc.max, len(rec.refs), tc.want)
 		}
-	}
-	// The cap lands mid-buffered-Access-run: the drain before the second
-	// batch must trim to the limit.
-	var capped batchRecorder
-	if got := RunBatch(mixedStream{}, &capped, 15); got != 15 {
-		t.Fatalf("capped RunBatch returned %d, want 15", got)
-	}
-	if len(capped.refs) != 15 {
-		t.Fatalf("capped sink saw %d refs, want 15", len(capped.refs))
-	}
-	for i, r := range capped.refs {
-		if r.VA() != uint64(i)*64 {
-			t.Fatalf("capped ref %d out of order: VA %#x, want %#x", i, r.VA(), uint64(i)*64)
+		for i, r := range rec.refs {
+			if r.VA() != uint64(i)*64 {
+				t.Fatalf("%d refs capped at %d: ref %d out of order", tc.n, tc.max, i)
+			}
 		}
 	}
 }

@@ -67,14 +67,6 @@ func BenchmarkFigure6XSBench(b *testing.B)  { benchFigure6(b, "xsbench") }
 func BenchmarkFigure6Sequential(b *testing.B) { benchFigure6Workers(b, "gups", 1) }
 func BenchmarkFigure6Parallel(b *testing.B)   { benchFigure6Workers(b, "gups", 4) }
 
-// BenchmarkFigure6Batch pins the end-to-end batch-native pipeline: every
-// worker's capture leg runs the generator's RunBatches straight into the
-// simulator's ProcessBatch, with no per-reference interface call between
-// workload and TLB. Identical configuration to BenchmarkFigure6Parallel, so
-// the committed BENCH_parallel.json baseline from the scalar-generation era
-// is directly comparable.
-func BenchmarkFigure6Batch(b *testing.B) { benchFigure6Workers(b, "gups", 4) }
-
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := Table3(Table3Options{
@@ -219,23 +211,13 @@ func BenchmarkMultiprogram(b *testing.B) {
 	}
 }
 
-// streamWorkload emits a fixed number of sequential references — the
-// cheapest possible workload, so the RunLimited benchmarks measure the
-// harness's per-reference dispatch cost rather than workload logic.
+// streamWorkload emits a fixed number of sequential references in whole
+// batches — the cheapest possible workload, so the harness benchmarks
+// measure RunBatch's dispatch cost rather than workload logic.
 type streamWorkload struct{ n uint64 }
 
 func (s streamWorkload) Name() string           { return "stream" }
 func (s streamWorkload) FootprintBytes() uint64 { return s.n * 64 }
-func (s streamWorkload) Run(sink Sink) {
-	for i := uint64(0); i < s.n; i++ {
-		sink.Access(i*64, false)
-	}
-}
-
-// RunBatches emits the identical stream as Run in whole batches
-// (trace.BatchRunner), so BenchmarkRunBatch measures the fully batched
-// engine — batch-native producer through batch consumer, no per-reference
-// dynamic call anywhere.
 func (s streamWorkload) RunBatches(sink trace.BatchSink) {
 	buf := make(trace.Batch, trace.DefaultBatchSize)
 	for i := uint64(0); i < s.n; {
@@ -251,65 +233,16 @@ func (s streamWorkload) RunBatches(sink trace.BatchSink) {
 	}
 }
 
-// countSink is the minimal terminal sink: one field update per reference.
-type countSink struct{ n uint64 }
-
-func (s *countSink) Access(uint64, bool) { s.n++ }
-
-// runLimitedClosure is the pre-limitSink implementation of RunLimited: a
-// per-call closure capturing the counter by reference, which escapes to
-// the heap and adds a closure-environment load to every reference. Kept
-// only as the baseline for BenchmarkRunLimitedClosure.
-func runLimitedClosure(w Workload, sink Sink, maxRefs uint64) (n uint64) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(limitReached); !ok {
-				panic(r)
-			}
-		}
-	}()
-	w.Run(trace.SinkFunc(func(va uint64, write bool) {
-		sink.Access(va, write)
-		n++
-		if n >= maxRefs {
-			panic(limitReached{})
-		}
-	}))
-	return n
-}
-
-func BenchmarkRunLimited(b *testing.B) {
-	w := streamWorkload{n: 1 << 21}
-	var s countSink
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := RunLimited(w, &s, 1<<20); got != 1<<20 {
-			b.Fatalf("delivered %d refs, want %d", got, 1<<20)
-		}
-	}
-	b.ReportMetric(float64(1<<20)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
-}
-
-func BenchmarkRunLimitedClosure(b *testing.B) {
-	w := streamWorkload{n: 1 << 21}
-	var s countSink
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := runLimitedClosure(w, &s, 1<<20); got != 1<<20 {
-			b.Fatalf("delivered %d refs, want %d", got, 1<<20)
-		}
-	}
-	b.ReportMetric(float64(1<<20)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
-}
-
-// batchCountSink is countSink's batch twin: one interface call and one
-// length add per batch, so BenchmarkRunBatch measures the batched harness's
-// dispatch cost against BenchmarkRunLimited's scalar path.
+// batchCountSink is the minimal terminal sink: one interface call and one
+// length add per batch.
 type batchCountSink struct{ n uint64 }
 
 func (s *batchCountSink) ProcessBatch(b trace.Batch) { s.n += uint64(len(b)) }
 
-func BenchmarkRunBatch(b *testing.B) {
+// The Harness benchmarks drive a counting sink with no simulator behind it:
+// their Mrefs/s is harness throughput, never simulator throughput.
+// BenchmarkHarnessRunBatch is RunBatch's dispatch cost.
+func BenchmarkHarnessRunBatch(b *testing.B) {
 	w := streamWorkload{n: 1 << 21}
 	var s batchCountSink
 	b.ResetTimer()
@@ -321,16 +254,12 @@ func BenchmarkRunBatch(b *testing.B) {
 	b.ReportMetric(float64(1<<20)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
 }
 
-// The generate pair measures workload generation alone — GUPS emitting into
-// a counting sink, with the simulator out of the picture — on the
-// batch-native leg (whole trace.Batch delivery) versus the scalar interface
-// leg (one dynamic Access call per reference). scripts/bench.sh records the
-// batch number into BENCH_parallel.json and mosaicstat bench lines it up
-// against the replay throughput, answering whether generation or simulation
-// bounds a sweep.
-const genBenchRefs = 1 << 20
-
-func BenchmarkGenerateGUPSBatch(b *testing.B) {
+// BenchmarkHarnessGenerateGUPS measures workload generation alone: GUPS
+// emitting into a counting sink. scripts/bench.sh records it into
+// BENCH_parallel.json and mosaicstat bench lines it up against the replay
+// dispatch rate, answering whether generation or simulation bounds a sweep.
+func BenchmarkHarnessGenerateGUPS(b *testing.B) {
+	const refs = 1 << 20
 	w, err := NewWorkload("gups", 8<<20, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -338,26 +267,11 @@ func BenchmarkGenerateGUPSBatch(b *testing.B) {
 	var s batchCountSink
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := RunBatch(w, &s, genBenchRefs); got != genBenchRefs {
-			b.Fatalf("delivered %d refs, want %d", got, genBenchRefs)
+		if got := RunBatch(w, &s, refs); got != refs {
+			b.Fatalf("delivered %d refs, want %d", got, refs)
 		}
 	}
-	b.ReportMetric(float64(genBenchRefs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
-}
-
-func BenchmarkGenerateGUPSScalar(b *testing.B) {
-	w, err := NewWorkload("gups", 8<<20, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var s countSink
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := RunLimited(w, &s, genBenchRefs); got != genBenchRefs {
-			b.Fatalf("delivered %d refs, want %d", got, genBenchRefs)
-		}
-	}
-	b.ReportMetric(float64(genBenchRefs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
+	b.ReportMetric(float64(refs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
 }
 
 // BenchmarkBatchDecode measures v2 frame decoding alone — the trace-replay

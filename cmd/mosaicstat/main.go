@@ -193,37 +193,31 @@ func benchRate(benches []results.BenchResult, name string) (float64, bool) {
 	return 0, false
 }
 
-// replayThroughput summarizes the batched-vs-scalar replay engine headline
-// when both harness benchmarks are present.
+// replayThroughput summarizes the replay harness: RunBatch dispatch into
+// a counting sink, with no simulator behind it, plus the v2 frame decoder.
 func replayThroughput(benches []results.BenchResult) string {
-	scalar, ok1 := benchRate(benches, "BenchmarkRunLimited")
-	batch, ok2 := benchRate(benches, "BenchmarkRunBatch")
-	if !ok1 || !ok2 || scalar <= 0 {
+	replay, ok := benchRate(benches, "BenchmarkHarnessRunBatch")
+	if !ok {
 		return ""
 	}
-	line := fmt.Sprintf("replay engine: batch %.0f Mrefs/s vs scalar %.0f Mrefs/s (%.1f×)",
-		batch, scalar, batch/scalar)
+	line := fmt.Sprintf("harness (counting sink, no simulator): replay dispatch %.0f Mrefs/s", replay)
 	if decode, ok := benchRate(benches, "BenchmarkBatchDecode"); ok {
 		line += fmt.Sprintf(", v2 decode %.0f Mrefs/s", decode)
 	}
 	return line
 }
 
-// generationThroughput lines the batch-native generator up against the
-// batched replay harness: when generation (GUPS on the batch leg) keeps pace
-// with replay dispatch, a sweep's wall clock is bound by the simulator, not
-// by producing references.
+// generationThroughput lines generation up against replay dispatch, both
+// into a counting sink: when generation keeps pace with dispatch, a sweep's
+// wall clock is bound by the simulator, not by producing references.
 func generationThroughput(benches []results.BenchResult) string {
-	gen, ok := benchRate(benches, "BenchmarkGenerateGUPSBatch")
+	gen, ok := benchRate(benches, "BenchmarkHarnessGenerateGUPS")
 	if !ok {
 		return ""
 	}
-	line := fmt.Sprintf("generation: gups batch %.0f Mrefs/s", gen)
-	if scalar, ok := benchRate(benches, "BenchmarkGenerateGUPSScalar"); ok && scalar > 0 {
-		line += fmt.Sprintf(" vs scalar %.0f Mrefs/s (%.1f×)", scalar, gen/scalar)
-	}
-	if replay, ok := benchRate(benches, "BenchmarkRunBatch"); ok && replay > 0 {
-		line += fmt.Sprintf("; replay dispatch %.0f Mrefs/s (gen/replay %.2f)", replay, gen/replay)
+	line := fmt.Sprintf("harness (counting sink, no simulator): gups generation %.0f Mrefs/s", gen)
+	if replay, ok := benchRate(benches, "BenchmarkHarnessRunBatch"); ok && replay > 0 {
+		line += fmt.Sprintf(" (gen/replay %.2f)", gen/replay)
 	}
 	return line
 }

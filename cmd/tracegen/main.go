@@ -89,20 +89,13 @@ func main() {
 // captureSink consumes a capture whole-batch: it tallies reads and writes,
 // tracks touched pages (when pages is non-nil), reports progress at every
 // 1M-reference boundary, and hands the batch to the encoder (nil when only
-// summarizing). The scalar leg wraps one reference and reuses the batch leg,
-// so both dispatch paths tally identically.
+// summarizing).
 type captureSink struct {
 	name                 string
 	verb                 string          // "captured" or "streamed", for the progress line
 	enc                  trace.BatchSink // nil in -stats mode
 	pages                map[core.VPN]bool
 	reads, writes, total uint64
-}
-
-func (s *captureSink) Access(va uint64, write bool) {
-	var one [1]trace.Ref
-	one[0] = trace.MakeRef(va, write)
-	s.ProcessBatch(one[:])
 }
 
 func (s *captureSink) ProcessBatch(b trace.Batch) {
@@ -133,9 +126,9 @@ func capture(name string, footprint, maxRefs, seed uint64, out, format string, s
 	}
 	cs := &captureSink{name: name, verb: "captured", pages: map[core.VPN]bool{}}
 
-	// Both encoders hide behind BatchSink so the stats pass stays
-	// format-blind; the v1 path unrolls each batch into the fixed-record
-	// writer, the v2 frame encoder takes batches natively.
+	// Both encoders are BatchSinks so the stats pass stays format-blind;
+	// the v1 writer encodes each batch record by record, the v2 frame
+	// encoder a frame at a time.
 	var (
 		flush func() error
 		count func() uint64
@@ -160,7 +153,7 @@ func capture(name string, footprint, maxRefs, seed uint64, out, format string, s
 			if err != nil {
 				return err
 			}
-			cs.enc = trace.BatchSinkOf(tw)
+			cs.enc = tw
 			flush = tw.Flush
 			count = tw.Count
 		default:

@@ -92,17 +92,20 @@ func ExampleTable5() {
 	// H=8: 6208 LUTs, 2.155 ns
 }
 
+// refCounter is a BatchSink that counts the references it receives.
+type refCounter struct{ n uint64 }
+
+func (c *refCounter) ProcessBatch(b mosaic.Batch) { c.n += uint64(len(b)) }
+
 // Running one of the paper's workloads with a reference cap.
-func ExampleRunLimited() {
+func ExampleRunBatch() {
 	w, err := mosaic.NewWorkload("gups", 1<<20, 1)
 	if err != nil {
 		panic(err)
 	}
-	count := uint64(0)
-	n := mosaic.RunLimited(w, mosaic.SinkFunc(func(va uint64, write bool) {
-		count++
-	}), 10000)
-	fmt.Println("delivered:", n, "counted:", count)
+	var c refCounter
+	n := mosaic.RunBatch(w, &c, 10000)
+	fmt.Println("delivered:", n, "counted:", c.n)
 	// Output:
 	// delivered: 10000 counted: 10000
 }

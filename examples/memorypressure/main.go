@@ -54,17 +54,28 @@ func run(cfg mosaic.SystemConfig, label string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	onset := -1.0
-	mosaic.RunLimited(w, mosaic.SinkFunc(func(va uint64, write bool) {
-		sys.TouchVA(1, va, write)
-		if onset < 0 && sys.Device().PageOuts() > 0 {
-			onset = sys.Utilization()
-		}
-	}), maxRefs)
+	s := onsetSink{sys: sys, onset: -1}
+	mosaic.RunBatch(w, &s, maxRefs)
 	onsetStr := "never"
-	if onset >= 0 {
-		onsetStr = fmt.Sprintf("%.2f%%", 100*onset)
+	if s.onset >= 0 {
+		onsetStr = fmt.Sprintf("%.2f%%", 100*s.onset)
 	}
 	fmt.Printf("%-28s %18s %14d %12d %10d\n",
 		label, onsetStr, sys.Device().PageOuts(), sys.Device().PageIns(), sys.GhostCount())
+}
+
+// onsetSink touches every reference and records the utilization at the
+// first page-out.
+type onsetSink struct {
+	sys   *mosaic.System
+	onset float64
+}
+
+func (s *onsetSink) ProcessBatch(b mosaic.Batch) {
+	for _, r := range b {
+		s.sys.TouchVA(1, r.VA(), r.Write())
+		if s.onset < 0 && s.sys.Device().PageOuts() > 0 {
+			s.onset = s.sys.Utilization()
+		}
+	}
 }

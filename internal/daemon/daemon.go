@@ -183,13 +183,16 @@ func (s *Server) admit(cfg SessionConfig) (*Session, error) {
 }
 
 // runSession executes one session on a pool worker and settles the
-// daemon-level admission metrics around it.
+// daemon-level admission metrics around it. A panic in the session fails
+// that session alone.
 func (s *Server) runSession(sess *Session, body io.Reader) {
 	s.mu.Lock()
 	s.gActive.Add(1)
 	s.mu.Unlock()
 
-	sess.run(body)
+	if pe := sweep.Catch(func() { sess.run(body) }); pe != nil {
+		sess.fail(fmt.Errorf("daemon: session panicked: %v", pe.Value))
+	}
 
 	s.mu.Lock()
 	s.gActive.Add(-1)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -439,7 +440,7 @@ func TestBadQuery(t *testing.T) {
 	defer ts.Close()
 	defer srv.Drain()
 
-	for _, q := range []string{"entries=zero", "arity=-1", "sample=0", "frames=0"} {
+	for _, q := range []string{"entries=zero", "arity=-1", "sample=0", "frames=0", "arity=3"} {
 		resp, err := http.Post(ts.URL+"/sessions?"+q, "application/octet-stream", bytes.NewReader(traceBytes(t, 4, 2)))
 		if err != nil {
 			t.Fatal(err)
@@ -448,6 +449,113 @@ func TestBadQuery(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST ?%s: %d, want 400", q, resp.StatusCode)
 		}
+	}
+}
+
+// TestQueryCaps: a session shape above the package caps is answered 400
+// before anything is allocated; the caps themselves are accepted.
+func TestQueryCaps(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain()
+
+	for _, tc := range []struct {
+		query string
+		ok    bool
+	}{
+		{fmt.Sprintf("entries=%d", maxSessionEntries+1), false},
+		{fmt.Sprintf("arity=%d", maxSessionArity*2), false},
+		{fmt.Sprintf("frames=%d", maxSessionFrames+1), false},
+		{"frames=99999999999999999999", false},
+		{fmt.Sprintf("entries=%d", maxSessionEntries), true},
+		{fmt.Sprintf("arity=%d", maxSessionArity), true},
+	} {
+		_, err := sessionConfigFromQuery(mustQuery(t, tc.query), 64)
+		if (err == nil) != tc.ok {
+			t.Errorf("?%s: err = %v, want ok=%v", tc.query, err, tc.ok)
+		}
+		if tc.ok {
+			continue
+		}
+		resp, err := http.Post(ts.URL+"/sessions?"+tc.query, "application/octet-stream", bytes.NewReader(traceBytes(t, 4, 2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST ?%s: %d, want 400", tc.query, resp.StatusCode)
+		}
+	}
+}
+
+func mustQuery(t testing.TB, raw string) url.Values {
+	t.Helper()
+	q, err := url.ParseQuery(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// FuzzSessionQuery: the query parser never panics, and every shape it
+// accepts is within the caps.
+func FuzzSessionQuery(f *testing.F) {
+	for _, seed := range []string{"", "entries=64&arity=16", "frames=1024&sample=7&seed=3",
+		"arity=3", "entries=-1", "frames=1e9", "label=x&entries=65536"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, err := url.ParseQuery(raw)
+		if err != nil {
+			return
+		}
+		cfg, err := sessionConfigFromQuery(q, 64)
+		if err != nil {
+			return
+		}
+		if cfg.Entries < 1 || cfg.Entries > maxSessionEntries ||
+			cfg.Arity < 1 || cfg.Arity > maxSessionArity || cfg.Arity&(cfg.Arity-1) != 0 ||
+			cfg.Frames < 1 || cfg.Frames > maxSessionFrames || cfg.Sample < 1 {
+			t.Fatalf("accepted out-of-range config %+v from %q", cfg, raw)
+		}
+	})
+}
+
+// panicReader panics on its first read, standing in for any fault inside a
+// running session.
+type panicReader struct{}
+
+func (panicReader) Read([]byte) (int, error) { panic("reader exploded") }
+
+// TestSessionPanicFailsSession: a panic inside one session settles that
+// session as failed with the panic text; the pool worker and the daemon
+// live on to run the next session.
+func TestSessionPanicFailsSession(t *testing.T) {
+	srv := New(Config{Workers: 1, SampleEvery: 64})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain()
+
+	cfg, err := sessionConfigFromQuery(url.Values{}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := srv.admit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.pool.TrySubmit(func() { srv.runSession(sess, panicReader{}) }); err != nil {
+		t.Fatal(err)
+	}
+	<-sess.done
+	if _, err := sess.Result(); err == nil || !strings.Contains(err.Error(), "reader exploded") {
+		t.Fatalf("panicking session: err = %v, want the panic text", err)
+	}
+	postSession(t, ts.URL, "", bytes.NewReader(traceBytes(t, 100, 4)))
+	_, metrics := get(t, ts.URL+"/metrics")
+	if !strings.Contains(metrics, "mosaicd_sessions_failed 1") || !strings.Contains(metrics, "mosaicd_sessions_completed 1") {
+		t.Errorf("/metrics after one panicking and one good session:\n%s", metrics)
 	}
 }
 

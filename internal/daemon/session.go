@@ -33,8 +33,17 @@ type SessionConfig struct {
 	Seed uint64
 }
 
+// Upper bounds on a session's shape, so one POST cannot request an
+// arbitrary allocation. At the caps a session's simulator holds about
+// 128 MiB of frame state (16 GiB of simulated DRAM) and 15 MiB of TLB.
+const (
+	maxSessionEntries = 1 << 16
+	maxSessionArity   = 64
+	maxSessionFrames  = 1 << 22
+)
+
 // sessionConfigFromQuery parses the query string, filling defaults and
-// rejecting malformed numbers.
+// rejecting malformed or out-of-range numbers.
 func sessionConfigFromQuery(q url.Values, defaultSample uint64) (SessionConfig, error) {
 	cfg := SessionConfig{
 		Label:   q.Get("label"),
@@ -47,19 +56,22 @@ func sessionConfigFromQuery(q url.Values, defaultSample uint64) (SessionConfig, 
 	for _, p := range []struct {
 		key string
 		dst *int
-		min int
+		max int
 	}{
-		{"entries", &cfg.Entries, 1},
-		{"arity", &cfg.Arity, 1},
-		{"frames", &cfg.Frames, 1},
+		{"entries", &cfg.Entries, maxSessionEntries},
+		{"arity", &cfg.Arity, maxSessionArity},
+		{"frames", &cfg.Frames, maxSessionFrames},
 	} {
 		if v := q.Get(p.key); v != "" {
 			n, err := strconv.Atoi(v)
-			if err != nil || n < p.min {
-				return cfg, fmt.Errorf("daemon: bad %s=%q (want integer >= %d)", p.key, v, p.min)
+			if err != nil || n < 1 || n > p.max {
+				return cfg, fmt.Errorf("daemon: bad %s=%q (want integer in [1, %d])", p.key, v, p.max)
 			}
 			*p.dst = n
 		}
+	}
+	if cfg.Arity&(cfg.Arity-1) != 0 {
+		return cfg, fmt.Errorf("daemon: bad arity=%d (want a power of two)", cfg.Arity)
 	}
 	for _, p := range []struct {
 		key string

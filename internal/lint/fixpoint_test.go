@@ -12,12 +12,6 @@ func TestDetTaint(t *testing.T) {
 	checkFixture(t, DetTaint, "dettaint", "mosaic/internal/fixture")
 }
 
-// TestBatchParity pins the scalar≡batch shape analyzer over dual
-// Sink+BatchSink implementors and per-ref replay loops.
-func TestBatchParity(t *testing.T) {
-	checkFixture(t, BatchParity, "batchparity", "mosaic/internal/fixture")
-}
-
 // TestGoLeak pins the goroutine-cancellation analyzer, including spins
 // reached through named calls at depth.
 func TestGoLeak(t *testing.T) {

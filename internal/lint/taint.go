@@ -530,6 +530,7 @@ func sinkDesc(p *Pass, call *ast.CallExpr) (string, []ast.Expr, bool) {
 		full == "mosaic/internal/trace.Sink" && fn.Name() == "Access":
 		return "a trace sink", call.Args, true
 	case full == "mosaic/internal/trace.BatchWriter" && (fn.Name() == "WriteBatch" || fn.Name() == "ProcessBatch"),
+		full == "mosaic/internal/trace.Writer" && fn.Name() == "ProcessBatch",
 		full == "mosaic/internal/trace.BatchSink" && fn.Name() == "ProcessBatch":
 		return "a trace batch sink", call.Args, true
 	}

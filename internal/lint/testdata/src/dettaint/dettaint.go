@@ -102,6 +102,11 @@ func traceTaint(w *trace.Writer) {
 	w.Access(uint64(time.Now().UnixNano()), false) // want "wall-clock-tainted value flows into a trace sink"
 }
 
+// traceBatchTaint: the same address handed to the writer in a batch.
+func traceBatchTaint(w *trace.Writer) {
+	w.ProcessBatch(trace.Batch{trace.MakeRef(uint64(time.Now().UnixNano())>>2, false)}) // want "wall-clock-tainted value flows into a trace batch sink"
+}
+
 // seeded randomness through a value-carrying conversion chain is clean: the
 // *rand.Rand method is not a source.
 func seeded(f *results.File, rng *rand.Rand) {

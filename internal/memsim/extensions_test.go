@@ -5,6 +5,7 @@ import (
 
 	"mosaic/internal/core"
 	"mosaic/internal/tlb"
+	"mosaic/internal/trace"
 	"mosaic/internal/workloads"
 )
 
@@ -66,7 +67,7 @@ func TestWalkCacheShortensWalks(t *testing.T) {
 	without := newSim(t, Config{Frames: 1 << 16, Specs: []TLBSpec{{Geometry: g}}})
 	run := func(s *Simulator) Result {
 		w := workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 14, Updates: 1 << 14, Seed: 4})
-		s.Run(w)
+		w.RunBatches(s)
 		return s.Results()[0]
 	}
 	rw, ro := run(with), run(without)
@@ -149,7 +150,7 @@ func TestWalkOverheadAccounting(t *testing.T) {
 		MemLatency:   100,
 	})
 	// A working set far beyond TLB reach, so walks are frequent.
-	s.Run(workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 20, Updates: 1 << 16, Seed: 6}))
+	workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 20, Updates: 1 << 16, Seed: 6}).RunBatches(s)
 	rv, rm := s.Results()[0], s.Results()[1]
 	for _, r := range []Result{rv, rm} {
 		if r.WalkCycles == 0 || r.WalkCycles >= r.TotalCycles {
@@ -168,4 +169,27 @@ func TestWalkOverheadAccounting(t *testing.T) {
 		"(the paper's intro cites 20-30%% at GiB scale, where page tables "+
 		"themselves miss in the caches; our MiB-scale tables stay cache-hot)",
 		rv.WalkOverheadPct(), rm.WalkOverheadPct())
+}
+
+// TestCoalescedFillDoesNotAllocate pins the CoLT fill's neighbour buffer:
+// a miss loop over resident pages, one aligned group per reference so every
+// lookup misses, walks and fills without a heap allocation.
+func TestCoalescedFillDoesNotAllocate(t *testing.T) {
+	s := newSim(t, Config{
+		Frames: 1 << 14,
+		Specs:  []TLBSpec{{Geometry: tlb.Geometry{Entries: 16, Ways: 4}, Coalesce: 8}},
+	})
+	const groups = 256
+	batch := make(trace.Batch, groups)
+	for i := range batch {
+		batch[i] = trace.MakeRef(workloads.DefaultHeapBase+uint64(i)*8*core.PageSize, false)
+	}
+	s.ProcessBatch(batch) // fault every page in
+	before := s.Results()[0].TLB.Misses
+	if allocs := testing.AllocsPerRun(20, func() { s.ProcessBatch(batch) }); allocs != 0 {
+		t.Errorf("CoLT miss loop: %.1f allocations per %d-reference batch, want 0", allocs, groups)
+	}
+	if misses := s.Results()[0].TLB.Misses - before; misses != 21*groups {
+		t.Errorf("%d misses over 21 batches, want every reference to miss (%d)", misses, 21*groups)
+	}
 }

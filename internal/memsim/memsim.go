@@ -28,7 +28,6 @@ import (
 	"mosaic/internal/tlb"
 	"mosaic/internal/trace"
 	"mosaic/internal/vm"
-	"mosaic/internal/workloads"
 )
 
 // TLBSpec names one TLB design point.
@@ -122,10 +121,13 @@ type Result struct {
 // unit is one TLB design point with its TLB and caches; the page table it
 // walks is selected per access by the faulting ASID.
 type unit struct {
-	spec       TLBSpec
-	vanilla    *tlb.Vanilla
-	mosaic     *tlb.Mosaic
-	coalesced  *tlb.Coalesced
+	spec      TLBSpec
+	vanilla   *tlb.Vanilla
+	mosaic    *tlb.Mosaic
+	coalesced *tlb.Coalesced
+	// neighbours is the CoLT fill's scratch buffer, one slot per page of
+	// the coalescing group; Coalesced.Insert does not retain it.
+	neighbours []tlb.NeighbourPFN
 	caches     *cache.Hierarchy
 	pwc        *walkCache
 	walks      uint64
@@ -141,8 +143,8 @@ type ptKey struct {
 	arity int // 0 = vanilla
 }
 
-// Simulator drives the memory system. It implements trace.Sink, so
-// workloads can emit straight into it. It is not safe for concurrent use.
+// Simulator drives the memory system. It implements trace.BatchSink, so
+// workloads run straight into it. It is not safe for concurrent use.
 type Simulator struct {
 	cfg   Config
 	os    *vm.System
@@ -226,6 +228,7 @@ func New(cfg Config) (*Simulator, error) {
 		switch {
 		case spec.Coalesce != 0:
 			u.coalesced = tlb.NewCoalesced(spec.Geometry, spec.Coalesce)
+			u.neighbours = make([]tlb.NeighbourPFN, spec.Coalesce)
 		case spec.Arity == 0:
 			u.vanilla = tlb.NewVanilla(spec.Geometry)
 		default:
@@ -450,8 +453,8 @@ func (s *Simulator) FlushTLBs() {
 	}
 }
 
-// Access implements trace.Sink: one data reference through the whole
-// simulated memory system, from the configured default address space.
+// Access is one data reference through the whole simulated memory system,
+// from the configured default address space.
 func (s *Simulator) Access(va uint64, write bool) {
 	s.AccessFrom(s.cfg.ASID, va, write)
 }
@@ -662,14 +665,13 @@ func (s *Simulator) lookupAndFill(u *unit, asid core.ASID, vpn core.VPN) {
 		// coalescing costs no extra memory traffic. The ASID tag is
 		// group-aligned (it lives far above the run bits), so tagging does
 		// not split runs.
-		run := u.coalesced.MaxRun()
-		base := core.VPN(uint64(vpn) &^ uint64(run-1))
-		neighbours := make([]tlb.NeighbourPFN, run)
-		for i := 0; i < run; i++ {
+		nb := u.neighbours
+		base := core.VPN(uint64(vpn) &^ uint64(len(nb)-1))
+		for i := range nb {
 			npfn, nok := pt.Get(base + core.VPN(i))
-			neighbours[i] = tlb.NeighbourPFN{PFN: npfn, OK: nok}
+			nb[i] = tlb.NeighbourPFN{PFN: npfn, OK: nok}
 		}
-		u.coalesced.Insert(tagged, pfn, neighbours)
+		u.coalesced.Insert(tagged, pfn, nb)
 	default:
 		if _, hit := u.mosaic.Lookup(tagged); hit {
 			return
@@ -707,15 +709,6 @@ func (s *Simulator) walkTraffic(u *unit, path []uint64) {
 			u.walkCycles += uint64(u.caches.Access(pa, false))
 		}
 	}
-}
-
-// Run executes a workload through the simulator.
-func (s *Simulator) Run(w workloads.Workload) { w.Run(s) }
-
-// RunLimited executes a workload, stopping after maxRefs references.
-func (s *Simulator) RunLimited(w workloads.Workload, maxRefs uint64) {
-	lim := &trace.Limiter{Next: s, N: maxRefs}
-	w.Run(lim)
 }
 
 // Results snapshots the per-design-point outcomes.
@@ -764,7 +757,4 @@ func (s *Simulator) ResultFor(label string) (Result, bool) {
 	return Result{}, false
 }
 
-var (
-	_ trace.Sink      = (*Simulator)(nil)
-	_ trace.BatchSink = (*Simulator)(nil)
-)
+var _ trace.BatchSink = (*Simulator)(nil)

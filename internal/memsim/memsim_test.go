@@ -66,7 +66,7 @@ func TestSequentialScanMosaicWins(t *testing.T) {
 func TestWalksEqualMisses(t *testing.T) {
 	s := newSim(t, Config{Frames: 1 << 16, Specs: specs(64, 8, 4, 8)})
 	g := workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 14, Updates: 1 << 14, Seed: 1})
-	s.Run(g)
+	g.RunBatches(s)
 	for _, r := range s.Results() {
 		if r.Walks != r.TLB.Misses {
 			t.Errorf("%s: walks %d != misses %d", r.Spec.Label(), r.Walks, r.TLB.Misses)
@@ -84,7 +84,7 @@ func TestGraph500MosaicReduction(t *testing.T) {
 	// The paper's headline (Figure 6a): Mosaic-4 substantially reduces
 	// Graph500 TLB misses at equal entry count.
 	s := newSim(t, Config{Frames: 1 << 18, Specs: specs(256, 8, 4, 16)})
-	s.Run(workloads.NewGraph500(workloads.Graph500Config{Scale: 13, Seed: 1}))
+	workloads.NewGraph500(workloads.Graph500Config{Scale: 13, Seed: 1}).RunBatches(s)
 	rv, _ := s.ResultFor("Vanilla")
 	r4, _ := s.ResultFor("Mosaic-4")
 	r16, _ := s.ResultFor("Mosaic-16")
@@ -104,7 +104,7 @@ func TestAssociativityMonotonicityVanilla(t *testing.T) {
 	g := tlb.Geometry{Entries: 128, Ways: 1}
 	gFull := tlb.Geometry{Entries: 128, Ways: 128}
 	s := newSim(t, Config{Frames: 1 << 16, Specs: []TLBSpec{{Geometry: g}, {Geometry: gFull}}})
-	s.Run(workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 15, Updates: 1 << 15, Seed: 3}))
+	workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 15, Updates: 1 << 15, Seed: 3}).RunBatches(s)
 	rs := s.Results()
 	direct, full := rs[0], rs[1]
 	if full.TLB.Misses > direct.TLB.Misses {
@@ -141,7 +141,7 @@ func TestCachesAccounting(t *testing.T) {
 		EnableCaches: true,
 		MemLatency:   100,
 	})
-	s.Run(workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 13, Updates: 1 << 13, Seed: 1}))
+	workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 13, Updates: 1 << 13, Seed: 1}).RunBatches(s)
 	for _, r := range s.Results() {
 		if r.AMAT <= 0 {
 			t.Errorf("%s: AMAT = %f", r.Spec.Label(), r.AMAT)
@@ -158,13 +158,16 @@ func TestCachesAccounting(t *testing.T) {
 	}
 }
 
+// TestRunLimited: a workload of a fixed length, delivered through
+// RunBatches across a batch boundary, reaches every TLB unit exactly once
+// per reference.
 func TestRunLimited(t *testing.T) {
 	s := newSim(t, Config{Frames: 1 << 16, Specs: specs(64, 8)})
-	g := workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 14, Updates: 1 << 20, Seed: 1})
-	s.RunLimited(g, 5000)
+	g := workloads.NewGUPS(workloads.GUPSConfig{TableWords: 1 << 14, Updates: 2500, Seed: 1})
+	g.RunBatches(s)
 	r := s.Results()[0]
 	if r.TLB.Lookups() != 5000 {
-		t.Errorf("limited run saw %d lookups, want 5000", r.TLB.Lookups())
+		t.Errorf("5000-reference run saw %d lookups", r.TLB.Lookups())
 	}
 }
 

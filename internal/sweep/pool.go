@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"errors"
+	"fmt"
+	"os"
 	"runtime"
 	"sync"
 )
@@ -52,7 +54,12 @@ func NewPool(workers, queue int) *Pool {
 		go func() {
 			defer p.wg.Done()
 			for job := range p.jobs {
-				job()
+				// A panicking job ends only itself. A job that must report
+				// its panic to a caller catches it first (the daemon fails
+				// its session); any other is reported here.
+				if pe := Catch(job); pe != nil {
+					fmt.Fprintf(os.Stderr, "sweep: pool job failed: %v\n", pe)
+				}
 			}
 		}()
 	}

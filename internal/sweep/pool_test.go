@@ -28,6 +28,25 @@ func TestPoolRunsJobs(t *testing.T) {
 	}
 }
 
+// TestPoolSurvivesPanickingJob: a job that panics ends alone; the worker
+// goes on to run every job queued behind it.
+func TestPoolSurvivesPanickingJob(t *testing.T) {
+	p := NewPool(1, 4)
+	var ran atomic.Int64
+	if err := p.TrySubmit(func() { panic("job exploded") }); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := p.TrySubmit(func() { ran.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Drain()
+	if got := ran.Load(); got != 3 {
+		t.Fatalf("ran %d jobs after the panic, want 3", got)
+	}
+}
+
 // TestPoolBackpressure: with one worker wedged and no queue beyond the
 // worker slots, TrySubmit sheds load with ErrPoolSaturated instead of
 // blocking.

@@ -16,7 +16,8 @@
 //  3. Errors are deterministic too: when points fail, Run returns the
 //     error of the lowest-indexed failing point — the same error the
 //     sequential loop would have stopped on — regardless of which worker
-//     noticed a failure first.
+//     noticed a failure first. A point that panics fails with a
+//     *PanicError instead of taking the process down.
 //
 // Workers=1 is the exact legacy path: points run in order on the calling
 // goroutine with no pool, no channels, and no extra synchronization.
@@ -24,7 +25,9 @@ package sweep
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,7 +85,7 @@ func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context,
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			r, err := fn(ctx, i, p)
+			r, err := call(ctx, fn, i, p)
 			if err != nil {
 				return nil, err
 			}
@@ -107,7 +110,7 @@ func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context,
 				if i >= n || ctx.Err() != nil {
 					return
 				}
-				r, err := fn(ctx, i, points[i])
+				r, err := call(ctx, fn, i, points[i])
 				if err != nil {
 					errs[i] = err
 					cancel()
@@ -132,6 +135,34 @@ func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context,
 	}
 	opt.Obs.seal()
 	return out, nil
+}
+
+// PanicError is a recovered panic, returned as the error of the point (or
+// pool job) that raised it.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v\n\n%s", e.Value, e.Stack) }
+
+// Catch runs fn and returns its panic, if any.
+func Catch(fn func()) (pe *PanicError) {
+	defer func() {
+		if v := recover(); v != nil {
+			pe = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	fn()
+	return nil
+}
+
+// call runs one point; a panic becomes the point's error.
+func call[P, R any](ctx context.Context, fn func(context.Context, int, P) (R, error), i int, p P) (r R, err error) {
+	if pe := Catch(func() { r, err = fn(ctx, i, p) }); pe != nil {
+		return r, fmt.Errorf("sweep: point %d: %w", i, pe)
+	}
+	return r, err
 }
 
 // Merger accumulates per-point obs.Snapshots from concurrent workers and

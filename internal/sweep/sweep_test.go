@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,6 +66,31 @@ func TestRunReturnsLowestIndexedError(t *testing.T) {
 		}, Options{Workers: workers})
 		if !errors.Is(err, boom3) {
 			t.Errorf("workers=%d: got error %v, want the lowest-indexed point's (%v)", workers, err, boom3)
+		}
+	}
+}
+
+// TestRunPanicIsPointError: a panic in one point becomes that point's
+// error, with its value and stack, on the inline and the pooled path, and
+// still loses to no higher-indexed error.
+func TestRunPanicIsPointError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		boom5 := errors.New("boom at 5")
+		_, err := Run(context.Background(), make([]int, 8), func(_ context.Context, i, _ int) (int, error) {
+			switch i {
+			case 2:
+				panic("panic at 2")
+			case 5:
+				return 0, boom5
+			}
+			return i, nil
+		}, Options{Workers: workers})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "panic at 2" {
+			t.Fatalf("workers=%d: got error %v, want point 2's panic", workers, err)
+		}
+		if !strings.Contains(err.Error(), "point 2") || !strings.Contains(string(pe.Stack), "sweep_test.go") {
+			t.Errorf("workers=%d: error lacks the point index or the panic stack:\n%v", workers, err)
 		}
 	}
 }

@@ -2,12 +2,11 @@ package trace
 
 import "sync"
 
-// Batched replay: the scalar Sink interface costs one dynamic dispatch per
-// reference, which caps replay throughput long before the simulator's own
-// work does. A Batch packs many references into one contiguous []Ref so the
-// stream crosses interface boundaries once per few thousand references, the
-// consumer's inner loop runs over cache-resident words, and decoders can
-// reuse one buffer for the life of a replay.
+// Batched references: every producer hands its stream to its consumer as
+// whole Batches. A Batch packs many references into one contiguous []Ref so
+// the stream crosses interface boundaries once per few thousand references,
+// the consumer's inner loop runs over cache-resident words, and decoders
+// can reuse one buffer for the life of a replay.
 
 // Ref packs one reference into a single word: VA<<1 | writeBit. The VA must
 // be canonical (below 2^62, as the binary trace formats already require), so
@@ -38,44 +37,12 @@ type Batch []Ref
 // nothing.
 const DefaultBatchSize = 4096
 
-// BatchSink consumes whole batches. The references in a batch are in stream
-// order and must be observed exactly as if delivered one Access at a time:
-// a BatchSink implementation may amortize dispatch and per-reference
-// branching, but not reorder or drop.
+// BatchSink consumes whole batches: it is the one interface every reference
+// producer (workload generators, trace decoders) delivers through. The
+// references in a batch are in stream order; a BatchSink may amortize
+// dispatch and per-reference branching, but not reorder or drop.
 type BatchSink interface {
 	ProcessBatch(b Batch)
-}
-
-// BatchRunner is implemented by reference producers that can emit whole
-// batches natively — trace decoders and generators whose inner loop can
-// fill a []Ref directly. A BatchRunner must deliver the identical reference
-// stream its scalar Run would, batched at whatever granularity suits the
-// producer; the replay harness prefers this path because it removes the
-// last per-reference dynamic call from the pipeline.
-type BatchRunner interface {
-	RunBatches(sink BatchSink)
-}
-
-// Replay delivers the batch to a scalar sink in order.
-func (b Batch) Replay(sink Sink) {
-	for _, r := range b {
-		sink.Access(r.VA(), r.Write())
-	}
-}
-
-// sinkBatcher adapts a scalar Sink to BatchSink by unrolling batches.
-type sinkBatcher struct{ sink Sink }
-
-func (a sinkBatcher) ProcessBatch(b Batch) { b.Replay(a.sink) }
-
-// BatchSinkOf returns the sink's native batch path when it has one, and a
-// scalar-unrolling adapter otherwise, so replay loops can always be written
-// against BatchSink.
-func BatchSinkOf(s Sink) BatchSink {
-	if bs, ok := s.(BatchSink); ok {
-		return bs
-	}
-	return sinkBatcher{sink: s}
 }
 
 // Batcher is a Sink that accumulates references into a fixed-capacity batch
@@ -164,7 +131,4 @@ func PutBatcher(b *Batcher) {
 	batcherPool.Put(b)
 }
 
-var (
-	_ Sink      = (*Batcher)(nil)
-	_ BatchSink = sinkBatcher{}
-)
+var _ Sink = (*Batcher)(nil)

@@ -19,85 +19,49 @@ type Access struct {
 	Write bool
 }
 
-// Sink consumes a reference stream. Workloads emit every data reference
-// they perform into a Sink; the simulator, recorders, and counters all
-// implement it.
+// Sink is the per-reference emit interface: a generator's inner loop calls
+// Access on a *Batcher, which packs the stream into Batches for its
+// BatchSink, and the v1 Writer encodes one record per call. Consumers take
+// whole batches (BatchSink).
 type Sink interface {
 	Access(va uint64, write bool)
 }
 
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(va uint64, write bool)
+// Discard is a BatchSink that drops all references (for dry runs).
+var Discard BatchSink = discard{}
 
-// Access implements Sink.
-func (f SinkFunc) Access(va uint64, write bool) { f(va, write) }
+type discard struct{}
 
-// Discard is a Sink that drops all references (for dry runs).
-var Discard Sink = SinkFunc(func(uint64, bool) {})
+func (discard) ProcessBatch(Batch) {}
 
-// Tee duplicates a stream to several sinks in order.
-func Tee(sinks ...Sink) Sink {
-	return SinkFunc(func(va uint64, write bool) {
-		for _, s := range sinks {
-			s.Access(va, write)
-		}
-	})
-}
-
-// Counter is a Sink that counts references.
+// Counter is a BatchSink that counts references.
 type Counter struct {
 	Reads, Writes uint64
 }
 
-// Access implements Sink.
-func (c *Counter) Access(va uint64, write bool) {
-	if write {
-		c.Writes++
-	} else {
-		c.Reads++
+// ProcessBatch implements BatchSink.
+func (c *Counter) ProcessBatch(b Batch) {
+	for _, r := range b {
+		if r.Write() {
+			c.Writes++
+		} else {
+			c.Reads++
+		}
 	}
 }
 
 // Total is Reads + Writes.
 func (c *Counter) Total() uint64 { return c.Reads + c.Writes }
 
-// Limiter forwards at most N references to Next, then ignores the rest
-// (and reports saturation). It lets experiments cap very long workloads.
-type Limiter struct {
-	Next Sink
-	N    uint64
-	seen uint64
-}
-
-// Access implements Sink.
-func (l *Limiter) Access(va uint64, write bool) {
-	if l.seen >= l.N {
-		return
-	}
-	l.seen++
-	l.Next.Access(va, write)
-}
-
-// Saturated reports whether the limit was reached.
-func (l *Limiter) Saturated() bool { return l.seen >= l.N }
-
-// Seen is the number of forwarded references.
-func (l *Limiter) Seen() uint64 { return l.seen }
-
-// Recorder is a Sink that retains the stream in memory.
+// Recorder is a BatchSink that retains the stream in memory.
 type Recorder struct {
 	Accesses []Access
 }
 
-// Access implements Sink.
-func (r *Recorder) Access(va uint64, write bool) {
-	r.Accesses = append(r.Accesses, Access{VA: va, Write: write})
-}
-
-// Replay feeds the recorded stream into sink.
-func (r *Recorder) Replay(sink Sink) {
-	for _, a := range r.Accesses {
-		sink.Access(a.VA, a.Write)
+// ProcessBatch implements BatchSink.
+func (r *Recorder) ProcessBatch(b Batch) {
+	for _, ref := range b {
+		r.Accesses = append(r.Accesses, Access{VA: ref.VA(), Write: ref.Write()})
 	}
 }
 
@@ -161,6 +125,14 @@ func (w *Writer) Access(va uint64, write bool) {
 	n := binary.PutUvarint(w.buf[:], v)
 	_, _ = w.w.Write(w.buf[:n])
 	w.n++
+}
+
+// ProcessBatch implements BatchSink, so a Writer can terminate a batch
+// pipeline: each reference is encoded exactly as Access would encode it.
+func (w *Writer) ProcessBatch(b Batch) {
+	for _, r := range b {
+		w.Access(r.VA(), r.Write())
+	}
 }
 
 // Count is the number of records written.

@@ -11,49 +11,19 @@ import (
 
 func TestSinkHelpers(t *testing.T) {
 	var c Counter
-	Tee(&c, Discard).Access(100, false)
-	Tee(&c, Discard).Access(200, true)
+	b := Batch{MakeRef(100, false), MakeRef(200, true)}
+	c.ProcessBatch(b)
+	Discard.ProcessBatch(b)
 	if c.Reads != 1 || c.Writes != 1 || c.Total() != 2 {
 		t.Errorf("counter = %+v", c)
 	}
-}
-
-func TestTeeFanOutOrder(t *testing.T) {
-	// Every sink sees every reference, in sink order per reference — the
-	// property memsim's dual-TLB methodology and tracegen's capture path
-	// both depend on.
-	var got []int
-	mk := func(id int) Sink {
-		return SinkFunc(func(va uint64, write bool) {
-			got = append(got, id)
-			if va != 42 || !write {
-				t.Errorf("sink %d saw (%d, %v)", id, va, write)
-			}
-		})
-	}
-	tee := Tee(mk(0), mk(1), mk(2))
-	tee.Access(42, true)
-	tee.Access(42, true)
-	want := []int{0, 1, 2, 0, 1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("deliveries = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("deliveries = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestTeeEmpty(t *testing.T) {
-	// A tee with no sinks is a valid discard.
-	Tee().Access(7, false)
 }
 
 func TestCounterClassifiesReadsAndWrites(t *testing.T) {
 	var c Counter
 	rng := rand.New(rand.NewSource(3))
 	var reads, writes uint64
+	var b Batch
 	for i := 0; i < 1000; i++ {
 		w := rng.Intn(2) == 1
 		if w {
@@ -61,8 +31,10 @@ func TestCounterClassifiesReadsAndWrites(t *testing.T) {
 		} else {
 			reads++
 		}
-		c.Access(rng.Uint64(), w)
+		b = append(b, MakeRef(rng.Uint64()>>2, w))
 	}
+	c.ProcessBatch(b[:400])
+	c.ProcessBatch(b[400:])
 	if c.Reads != reads || c.Writes != writes {
 		t.Errorf("counter = %+v, want reads=%d writes=%d", c, reads, writes)
 	}
@@ -71,28 +43,15 @@ func TestCounterClassifiesReadsAndWrites(t *testing.T) {
 	}
 }
 
-func TestLimiter(t *testing.T) {
-	var c Counter
-	l := &Limiter{Next: &c, N: 3}
-	for i := 0; i < 10; i++ {
-		l.Access(uint64(i), false)
-	}
-	if c.Total() != 3 || !l.Saturated() || l.Seen() != 3 {
-		t.Errorf("limiter forwarded %d (saturated=%v)", c.Total(), l.Saturated())
-	}
-}
-
+// TestRecorderReplay: a stream replayed into a Recorder in several batches
+// is retained in stream order.
 func TestRecorderReplay(t *testing.T) {
 	var r Recorder
-	r.Access(10, false)
-	r.Access(20, true)
-	var c Counter
-	r.Replay(&c)
-	if c.Reads != 1 || c.Writes != 1 {
-		t.Errorf("replay = %+v", c)
-	}
-	if len(r.Accesses) != 2 || r.Accesses[1] != (Access{VA: 20, Write: true}) {
-		t.Errorf("recorded = %+v", r.Accesses)
+	r.ProcessBatch(Batch{MakeRef(10, false)})
+	r.ProcessBatch(Batch{MakeRef(20, true)})
+	want := []Access{{VA: 10}, {VA: 20, Write: true}}
+	if len(r.Accesses) != len(want) || r.Accesses[0] != want[0] || r.Accesses[1] != want[1] {
+		t.Errorf("recorded = %+v, want %+v", r.Accesses, want)
 	}
 }
 
@@ -152,7 +111,9 @@ func TestReplayAll(t *testing.T) {
 	_ = w.Flush()
 	r, _ := NewReader(&buf)
 	var c Counter
-	n, err := r.ReplayAll(&c)
+	b := NewBatcher(&c, 0)
+	n, err := r.ReplayAll(b)
+	b.Flush()
 	if err != nil || n != 100 {
 		t.Fatalf("ReplayAll = %d, %v", n, err)
 	}

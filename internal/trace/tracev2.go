@@ -218,12 +218,6 @@ func (r *BatchReader) ReplayBatches(sink BatchSink) (uint64, error) {
 	}
 }
 
-// ReplayAll streams every record into a scalar sink, returning the record
-// count. Prefer ReplayBatches when the sink has a batch path.
-func (r *BatchReader) ReplayAll(sink Sink) (uint64, error) {
-	return r.ReplayBatches(BatchSinkOf(sink))
-}
-
 // ReadBatch decodes up to cap(buf) records (DefaultBatchSize when buf has
 // no capacity) from a v1 trace into buf's backing storage, so v1 streams
 // replay through the batched path too; io.EOF signals a clean end. Only the
@@ -282,8 +276,6 @@ func (r *Reader) ReplayBatches(sink BatchSink) (uint64, error) {
 
 // Source is a replayable trace stream of either binary format.
 type Source interface {
-	// ReplayAll streams every record into a scalar sink.
-	ReplayAll(sink Sink) (uint64, error)
 	// ReplayBatches streams every record into a batch sink.
 	ReplayBatches(sink BatchSink) (uint64, error)
 }
@@ -332,6 +324,7 @@ func ConvertV1(dst io.Writer, src io.Reader) (uint64, error) {
 
 var (
 	_ BatchSink = (*BatchWriter)(nil)
+	_ BatchSink = (*Writer)(nil)
 	_ Source    = (*Reader)(nil)
 	_ Source    = (*BatchReader)(nil)
 )

@@ -64,13 +64,11 @@ func readAllV2(t *testing.T, data []byte) []Access {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []Access
 	var rec Recorder
-	if _, err := r.ReplayAll(&rec); err != nil {
+	if _, err := r.ReplayBatches(&rec); err != nil {
 		t.Fatal(err)
 	}
-	out = rec.Accesses
-	return out
+	return rec.Accesses
 }
 
 func TestBatchRefPacking(t *testing.T) {
@@ -256,7 +254,7 @@ func TestOpenSniffsBothFormats(t *testing.T) {
 			t.Fatalf("%s: Open: %v", name, err)
 		}
 		var rec Recorder
-		n, err := src.ReplayBatches(BatchSinkOf(&rec))
+		n, err := src.ReplayBatches(&rec)
 		if err != nil {
 			t.Fatalf("%s: ReplayBatches: %v", name, err)
 		}
@@ -335,7 +333,9 @@ func TestV1ReplayBatchesDeliversPartialOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var recScalar Recorder
-	nScalar, errScalar := rScalar.ReplayAll(&recScalar)
+	scalarSink := NewBatcher(&recScalar, 0)
+	nScalar, errScalar := rScalar.ReplayAll(scalarSink)
+	scalarSink.Flush()
 	if errScalar == nil {
 		t.Fatal("corrupt stream replayed cleanly through ReplayAll")
 	}
@@ -348,7 +348,7 @@ func TestV1ReplayBatchesDeliversPartialOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var recBatch Recorder
-	nBatch, errBatch := rBatch.ReplayBatches(BatchSinkOf(&recBatch))
+	nBatch, errBatch := rBatch.ReplayBatches(&recBatch)
 	if errBatch == nil {
 		t.Fatal("corrupt stream replayed cleanly through ReplayBatches")
 	}

@@ -61,9 +61,9 @@ type bnode struct {
 func (n *bnode) keyAddr(i int) uint64   { return n.va + btKeysOffset + uint64(i)*8 }
 func (n *bnode) childAddr(i int) uint64 { return n.va + btChildOffset + uint64(i)*8 }
 
-// NewBTree builds the workload. The tree itself is bulk-loaded during Run
-// (emitting the build's reference stream), matching an index-build-then-
-// query benchmark.
+// NewBTree builds the workload. The tree itself is bulk-loaded during
+// RunBatches (emitting the build's reference stream), matching an
+// index-build-then-query benchmark.
 func NewBTree(cfg BTreeConfig) *BTree {
 	if cfg.Keys == 0 {
 		if cfg.TargetBytes == 0 {
@@ -84,8 +84,8 @@ func NewBTree(cfg BTreeConfig) *BTree {
 // Name implements Workload.
 func (t *BTree) Name() string { return "btree" }
 
-// FootprintBytes implements Workload. Before Run the value is an estimate;
-// after Run it is exact.
+// FootprintBytes implements Workload. Before RunBatches the value is an estimate;
+// after RunBatches it is exact.
 func (t *BTree) FootprintBytes() uint64 {
 	if t.root != nil {
 		return t.arena.Size()
@@ -94,15 +94,10 @@ func (t *BTree) FootprintBytes() uint64 {
 	return uint64(leaves) * btNodeSize * 257 / 256
 }
 
-// Depth is the tree height after Run.
+// Depth is the tree height after RunBatches.
 func (t *BTree) Depth() int { return t.depth }
 
-// Run implements Workload. The build and lookup loops live on the batch
-// leg; the scalar path unrolls the same batches through the sink, so both
-// legs emit the identical reference stream by construction.
-func (t *BTree) Run(sink trace.Sink) { t.RunBatches(trace.BatchSinkOf(sink)) }
-
-// RunBatches implements trace.BatchRunner: bulk-load the index, then
+// RunBatches implements Workload: bulk-load the index, then
 // perform random point lookups, emitting whole batches.
 func (t *BTree) RunBatches(sink trace.BatchSink) {
 	b := trace.GetBatcher(sink)
@@ -192,19 +187,17 @@ func minKey(n *bnode) uint64 {
 	return n.keys[0]
 }
 
-// Lookup performs one point lookup, emitting every node slot it reads.
-// The probe sequence is generated on the batch leg and unrolled through
-// the sink, so standalone lookups (the database example) emit exactly the
-// references a batched run would.
-func (t *BTree) Lookup(sink trace.Sink, key uint64) (uint64, bool) {
-	b := trace.GetBatcher(trace.BatchSinkOf(sink))
+// Lookup performs one point lookup, emitting every node slot it reads as
+// one batch into sink (used by the database example).
+func (t *BTree) Lookup(sink trace.BatchSink, key uint64) (uint64, bool) {
+	b := trace.GetBatcher(sink)
 	defer trace.PutBatcher(b)
 	v, ok := t.lookup(b, key)
 	b.Flush()
 	return v, ok
 }
 
-// lookup is one point lookup on the batch leg: a binary-search probe
+// lookup is one point lookup: a binary-search probe
 // sequence in each node plus the child-pointer read.
 func (t *BTree) lookup(sink *trace.Batcher, key uint64) (uint64, bool) {
 	n := t.root
@@ -235,15 +228,15 @@ func (t *BTree) lookup(sink *trace.Batcher, key uint64) (uint64, bool) {
 
 // RangeScan reads count consecutive keys starting at the smallest key ≥
 // from, following the leaf chain (used by the database example).
-func (t *BTree) RangeScan(sink trace.Sink, from uint64, count int) []uint64 {
-	b := trace.GetBatcher(trace.BatchSinkOf(sink))
+func (t *BTree) RangeScan(sink trace.BatchSink, from uint64, count int) []uint64 {
+	b := trace.GetBatcher(sink)
 	defer trace.PutBatcher(b)
 	out := t.rangeScan(b, from, count)
 	b.Flush()
 	return out
 }
 
-// rangeScan is RangeScan's batch leg.
+// rangeScan is RangeScan's probe and leaf walk.
 func (t *BTree) rangeScan(sink *trace.Batcher, from uint64, count int) []uint64 {
 	n := t.root
 	for !n.leaf {

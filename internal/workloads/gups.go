@@ -62,12 +62,7 @@ func (g *GUPS) FootprintBytes() uint64 { return g.arena.Size() }
 // TableWords is the (power-of-two) table length.
 func (g *GUPS) TableWords() int { return g.cfg.TableWords }
 
-// Run implements Workload. The update loop lives on the batch leg; the
-// scalar path unrolls the same batches through the sink, so both legs emit
-// the identical reference stream by construction.
-func (g *GUPS) Run(sink trace.Sink) { g.RunBatches(trace.BatchSinkOf(sink)) }
-
-// RunBatches implements trace.BatchRunner: the HPCC update loop. Each
+// RunBatches implements Workload: the HPCC update loop. Each
 // update is one load and one store of the same word (two TLB references,
 // as the hardware would issue), packed into whole batches at generation
 // time.
@@ -78,8 +73,8 @@ func (g *GUPS) RunBatches(sink trace.BatchSink) {
 	for i := 0; i < g.cfg.Updates; i++ {
 		r := rnd.Uint64()
 		idx := int(r & g.mask)
-		v := g.table.GetB(b, idx)
-		g.table.SetB(b, idx, v^r)
+		v := g.table.Get(b, idx)
+		g.table.Set(b, idx, v^r)
 	}
 	b.Flush()
 }

@@ -135,12 +135,7 @@ func (kv *KVStore) FootprintBytes() uint64 { return kv.arena.Size() }
 // Keys is the number of stored keys.
 func (kv *KVStore) Keys() int { return kv.cfg.Keys }
 
-// Run implements Workload. The request loop lives on the batch leg; the
-// scalar path unrolls the same batches through the sink, so both legs emit
-// the identical reference stream by construction.
-func (kv *KVStore) Run(sink trace.Sink) { kv.RunBatches(trace.BatchSinkOf(sink)) }
-
-// RunBatches implements trace.BatchRunner: a Zipf-distributed GET/SET
+// RunBatches implements Workload: a Zipf-distributed GET/SET
 // stream, emitted in whole batches.
 func (kv *KVStore) RunBatches(sink trace.BatchSink) {
 	b := trace.GetBatcher(sink)

@@ -17,7 +17,7 @@ func TestKVStoreBasics(t *testing.T) {
 		t.Fatalf("Keys = %d", kv.Keys())
 	}
 	var c trace.Counter
-	kv.Run(&c)
+	kv.RunBatches(&c)
 	if c.Total() == 0 {
 		t.Fatal("no accesses emitted")
 	}
@@ -51,7 +51,7 @@ func TestKVStoreDeterministic(t *testing.T) {
 	run := func() []trace.Access {
 		kv := NewKVStore(KVStoreConfig{Keys: 2000, Ops: 2000, Seed: 42})
 		var rec trace.Recorder
-		kv.Run(&rec)
+		kv.RunBatches(&rec)
 		return rec.Accesses
 	}
 	a, b := run(), run()
@@ -69,7 +69,7 @@ func TestKVStoreAccessesWithinHeap(t *testing.T) {
 	kv := NewKVStore(KVStoreConfig{Keys: 5000, Ops: 5000, Seed: 3})
 	lo := uint64(DefaultHeapBase)
 	hi := lo + kv.FootprintBytes()
-	kv.Run(trace.SinkFunc(func(va uint64, _ bool) {
+	kv.RunBatches(refFunc(func(va uint64, _ bool) {
 		if va < lo || va >= hi {
 			t.Fatalf("access %#x outside heap [%#x,%#x)", va, lo, hi)
 		}
@@ -80,7 +80,7 @@ func TestKVStoreZipfSkew(t *testing.T) {
 	// The hot key must be dramatically more popular than the median key.
 	kv := NewKVStore(KVStoreConfig{Keys: 10000, Ops: 50000, Seed: 4})
 	counts := map[core.VPN]int{}
-	kv.Run(trace.SinkFunc(func(va uint64, _ bool) {
+	kv.RunBatches(refFunc(func(va uint64, _ bool) {
 		counts[core.VPNOf(va)] = counts[core.VPNOf(va)] + 1
 	}))
 	// Zipf: a few pages should dominate the access counts.

@@ -39,10 +39,12 @@ func TestU64ArrayEmitsAccesses(t *testing.T) {
 	a := NewArena(0)
 	arr := NewU64Array(a, 10)
 	var rec trace.Recorder
-	arr.Set(&rec, 3, 42)
-	if got := arr.Get(&rec, 3); got != 42 {
+	b := trace.NewBatcher(&rec, 0)
+	arr.Set(b, 3, 42)
+	if got := arr.Get(b, 3); got != 42 {
 		t.Fatalf("Get = %d", got)
 	}
+	b.Flush()
 	if len(rec.Accesses) != 2 {
 		t.Fatalf("%d accesses", len(rec.Accesses))
 	}
@@ -99,7 +101,7 @@ func TestWorkloadsDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 				var rec trace.Recorder
-				w.Run(&rec)
+				w.RunBatches(&rec)
 				return rec.Accesses
 			}
 			a, b := run(), run()
@@ -124,7 +126,7 @@ func TestAccessesWithinFootprint(t *testing.T) {
 		t.Run(w.Name(), func(t *testing.T) {
 			lo := uint64(DefaultHeapBase)
 			maxVA := uint64(0)
-			w.Run(trace.SinkFunc(func(va uint64, write bool) {
+			w.RunBatches(refFunc(func(va uint64, write bool) {
 				if va < lo {
 					t.Fatalf("access %#x below heap base", va)
 				}
@@ -132,7 +134,7 @@ func TestAccessesWithinFootprint(t *testing.T) {
 					maxVA = va
 				}
 			}))
-			// FootprintBytes is exact after Run; every access must fall
+			// FootprintBytes is exact after RunBatches; every access must fall
 			// inside the reserved heap.
 			if hi := lo + w.FootprintBytes(); maxVA >= hi {
 				t.Errorf("max access %#x beyond heap end %#x", maxVA, hi)
@@ -143,7 +145,7 @@ func TestAccessesWithinFootprint(t *testing.T) {
 
 func TestGraph500BFSCorrect(t *testing.T) {
 	g := NewGraph500(Graph500Config{Scale: 10, Seed: 5})
-	g.Run(trace.Discard)
+	g.RunBatches(trace.Discard)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestGraph500BFSCorrect(t *testing.T) {
 func TestGraph500TouchesManyPages(t *testing.T) {
 	g := NewGraph500(Graph500Config{Scale: 12, Seed: 5})
 	pages := map[core.VPN]bool{}
-	g.Run(trace.SinkFunc(func(va uint64, _ bool) { pages[core.VPNOf(va)] = true }))
+	g.RunBatches(refFunc(func(va uint64, _ bool) { pages[core.VPNOf(va)] = true }))
 	// The CSR arrays alone span hundreds of pages at scale 12.
 	if len(pages) < 256 {
 		t.Errorf("graph500 touched only %d pages", len(pages))
@@ -164,7 +166,7 @@ func TestGraph500TouchesManyPages(t *testing.T) {
 
 func TestBTreeLookupsFindKeys(t *testing.T) {
 	bt := NewBTree(BTreeConfig{Keys: 10000, Lookups: 100, Seed: 3})
-	bt.Run(trace.Discard) // panics internally if any lookup misses
+	bt.RunBatches(trace.Discard) // panics internally if any lookup misses
 	if bt.Depth() < 2 {
 		t.Errorf("depth = %d, want a multi-level tree", bt.Depth())
 	}
@@ -177,7 +179,7 @@ func TestBTreeLookupsFindKeys(t *testing.T) {
 
 func TestBTreeRangeScan(t *testing.T) {
 	bt := NewBTree(BTreeConfig{Keys: 5000, Lookups: 1, Seed: 3})
-	bt.Run(trace.Discard)
+	bt.RunBatches(trace.Discard)
 	got := bt.RangeScan(trace.Discard, 0, 1000)
 	if len(got) != 1000 {
 		t.Fatalf("RangeScan returned %d values", len(got))
@@ -198,7 +200,7 @@ func TestBTreeRangeScan(t *testing.T) {
 
 func TestBTreeNodesPageAligned(t *testing.T) {
 	bt := NewBTree(BTreeConfig{Keys: 5000, Lookups: 1, Seed: 3})
-	bt.Run(trace.Discard)
+	bt.RunBatches(trace.Discard)
 	var walk func(n *bnode)
 	walk = func(n *bnode) {
 		if n.va%core.PageSize != 0 {
@@ -217,7 +219,7 @@ func TestGUPSUpdatesLand(t *testing.T) {
 		t.Fatalf("TableWords = %d", g.TableWords())
 	}
 	var c trace.Counter
-	g.Run(&c)
+	g.RunBatches(&c)
 	if c.Reads != 1<<14 || c.Writes != 1<<14 {
 		t.Errorf("reads=%d writes=%d, want %d each", c.Reads, c.Writes, 1<<14)
 	}
@@ -236,7 +238,7 @@ func TestGUPSPowerOfTwoRounding(t *testing.T) {
 func TestXSBenchEmitsGatherPattern(t *testing.T) {
 	x := NewXSBench(XSBenchConfig{GridPoints: 200, Nuclides: 16, Lookups: 50, Seed: 2})
 	var rec trace.Recorder
-	x.Run(&rec)
+	x.RunBatches(&rec)
 	if len(rec.Accesses) == 0 {
 		t.Fatal("no accesses")
 	}
@@ -271,15 +273,24 @@ func TestXSBenchEnergyGridSorted(t *testing.T) {
 func BenchmarkGraph500Run(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := NewGraph500(Graph500Config{Scale: 12, Seed: uint64(i)})
-		g.Run(trace.Discard)
+		g.RunBatches(trace.Discard)
 	}
 }
 
 func BenchmarkBTreeLookup(b *testing.B) {
 	bt := NewBTree(BTreeConfig{Keys: 100000, Lookups: 1, Seed: 1})
-	bt.Run(trace.Discard)
+	bt.RunBatches(trace.Discard)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bt.Lookup(trace.Discard, bt.keys[i%len(bt.keys)])
+	}
+}
+
+// refFunc adapts a per-reference check to trace.BatchSink.
+type refFunc func(va uint64, write bool)
+
+func (f refFunc) ProcessBatch(b trace.Batch) {
+	for _, r := range b {
+		f(r.VA(), r.Write())
 	}
 }

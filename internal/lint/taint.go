@@ -118,8 +118,8 @@ type taintScan struct {
 	local map[types.Object]taintVal
 	// sorted holds locals that were passed to a sort function; their
 	// map-iteration-order taint is considered sanitised.
-	sorted  map[types.Object]bool
-	fields  map[string]taintMask // struct-field writes discovered
+	sorted map[types.Object]bool
+	fields map[string]taintMask // struct-field writes discovered
 	// reads collects the field IDs whose global taint this scan consulted
 	// (nil disables collection). The set is syntactic — which selections
 	// the body contains — so one round's collection stays valid for every

@@ -16,6 +16,7 @@ func checkedSimulator(t *testing.T) *Simulator {
 		Specs: []TLBSpec{
 			{Geometry: tlb.Geometry{Entries: 64, Ways: 4}},
 			{Geometry: tlb.Geometry{Entries: 64, Ways: 4}, Arity: 4},
+			{Geometry: tlb.Geometry{Entries: 64, Ways: 4}, Coalesce: 4},
 		},
 		Seed:       5,
 		CheckEvery: 64, // exercise the periodic debug checks during the run
@@ -44,7 +45,7 @@ func TestCheckInvariantsDuringRun(t *testing.T) {
 }
 
 // TestCheckInvariantsDetectsStaleTLB plants entries the page tables
-// disagree with in both TLB flavours and asserts the coherence audit
+// disagree with in every TLB design and asserts the coherence audit
 // reports them.
 func TestCheckInvariantsDetectsStaleTLB(t *testing.T) {
 	s := checkedSimulator(t)
@@ -58,14 +59,15 @@ func TestCheckInvariantsDetectsStaleTLB(t *testing.T) {
 		if !ok {
 			t.Fatal("VPN 3 should be mapped")
 		}
-		s.units[0].vanilla.Insert(taggedVPN(s.cfg.ASID, vpn), want.Add(1))
+		v := s.units[0].tlb.(*vanillaScheme)
+		v.Insert(taggedVPN(s.cfg.ASID, vpn), want.Add(1))
 		var r invariant.Report
 		s.CheckInvariants(&r)
 		if !hasCoherenceViolation(&r, "Vanilla") {
 			t.Fatalf("stale vanilla entry not reported: %v", r.Violations())
 		}
 		// Repair by reinserting the truth; the state must audit clean again.
-		s.units[0].vanilla.Insert(taggedVPN(s.cfg.ASID, vpn), want)
+		v.Insert(taggedVPN(s.cfg.ASID, vpn), want)
 		r = invariant.Report{}
 		s.CheckInvariants(&r)
 		if err := r.Err(); err != nil {
@@ -74,16 +76,32 @@ func TestCheckInvariantsDetectsStaleTLB(t *testing.T) {
 	})
 
 	t.Run("mosaic-unmapped-subpage", func(t *testing.T) {
-		u := s.units[1]
+		m := s.units[1].tlb.(*mosaicScheme)
 		// A ToC claiming a valid sub-entry for a VPN no page table maps.
 		vpn := core.VPN(1 << 20)
-		toc := u.mosaic.InvalidToC()
+		toc := m.InvalidToC()
 		toc[0] = 0
-		u.mosaic.Insert(taggedVPN(s.cfg.ASID, vpn), toc)
+		m.Insert(taggedVPN(s.cfg.ASID, vpn), toc)
 		var r invariant.Report
 		s.CheckInvariants(&r)
 		if !hasCoherenceViolation(&r, "Mosaic-4") {
 			t.Fatalf("stale mosaic sub-entry not reported: %v", r.Violations())
+		}
+	})
+
+	t.Run("colt-wrong-pfn", func(t *testing.T) {
+		c := s.units[2].tlb.(*coltScheme)
+		// A one-page run for VPN 5 naming the frame after the real one.
+		vpn := core.VPN(5)
+		want, ok := s.vanillaPT(s.cfg.ASID).Get(vpn)
+		if !ok {
+			t.Fatal("VPN 5 should be mapped")
+		}
+		c.Insert(taggedVPN(s.cfg.ASID, vpn), want.Add(1), nil)
+		var r invariant.Report
+		s.CheckInvariants(&r)
+		if !hasCoherenceViolation(&r, "CoLT-4") {
+			t.Fatalf("stale CoLT run not reported: %v", r.Violations())
 		}
 	})
 }

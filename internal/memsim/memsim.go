@@ -121,13 +121,8 @@ type Result struct {
 // unit is one TLB design point with its TLB and caches; the page table it
 // walks is selected per access by the faulting ASID.
 type unit struct {
-	spec      TLBSpec
-	vanilla   *tlb.Vanilla
-	mosaic    *tlb.Mosaic
-	coalesced *tlb.Coalesced
-	// neighbours is the CoLT fill's scratch buffer, one slot per page of
-	// the coalescing group; Coalesced.Insert does not retain it.
-	neighbours []tlb.NeighbourPFN
+	spec       TLBSpec
+	tlb        scheme
 	caches     *cache.Hierarchy
 	pwc        *walkCache
 	walks      uint64
@@ -182,6 +177,11 @@ func taggedVPN(asid core.ASID, vpn core.VPN) core.VPN {
 	return vpn | core.VPN(uint64(asid)<<asidTagShift)
 }
 
+// untag splits a tagged VPN back into its ASID and VPN.
+func untag(tagged core.VPN) (core.ASID, core.VPN) {
+	return core.ASID(uint64(tagged) >> asidTagShift), tagged & (1<<asidTagShift - 1)
+}
+
 // New builds a Simulator.
 func New(cfg Config) (*Simulator, error) {
 	if cfg.Frames == 0 {
@@ -224,17 +224,7 @@ func New(cfg Config) (*Simulator, error) {
 		if spec.Arity != 0 && spec.Coalesce != 0 {
 			return nil, fmt.Errorf("memsim: spec %s sets both Arity and Coalesce", spec.Label())
 		}
-		u := &unit{spec: spec}
-		switch {
-		case spec.Coalesce != 0:
-			u.coalesced = tlb.NewCoalesced(spec.Geometry, spec.Coalesce)
-			u.neighbours = make([]tlb.NeighbourPFN, spec.Coalesce)
-		case spec.Arity == 0:
-			u.vanilla = tlb.NewVanilla(spec.Geometry)
-		default:
-			u.mosaic = tlb.NewMosaic(spec.Geometry, spec.Arity)
-			s.arities[spec.Arity] = true
-		}
+		u := &unit{spec: spec, tlb: s.newScheme(spec)}
 		if cfg.EnableWalkCache {
 			n := cfg.WalkCacheEntries
 			if n == 0 {
@@ -272,17 +262,6 @@ func slug(label string) string {
 	return b.String()
 }
 
-func (u *unit) stats() tlb.Stats {
-	switch {
-	case u.vanilla != nil:
-		return u.vanilla.Stats()
-	case u.coalesced != nil:
-		return u.coalesced.Stats()
-	default:
-		return u.mosaic.Stats()
-	}
-}
-
 // registerProbes wires the time-series sampler to live simulator state:
 // per-unit TLB hit rate and walk latency, per-unit per-level cache MPKI,
 // iceberg slot occupancy by level, memory utilization and ghost pressure,
@@ -294,8 +273,8 @@ func (s *Simulator) registerProbes() {
 		u := u
 		p := "tlb." + slug(u.spec.Label())
 		sp.Ratio(p+".hit_rate", 1,
-			func() float64 { return float64(u.stats().Hits) },
-			func() float64 { return float64(u.stats().Lookups()) })
+			func() float64 { return float64(u.tlb.stats().Hits) },
+			func() float64 { return float64(u.tlb.stats().Lookups()) })
 		if u.caches != nil {
 			sp.Ratio(p+".walk_latency", 1,
 				func() float64 { return float64(u.walkCycles) },
@@ -350,9 +329,9 @@ func (s *Simulator) RegisterLive(p *obs.Publisher) {
 	for _, u := range s.units {
 		u := u
 		pfx := "tlb." + slug(u.spec.Label())
-		p.Gauge(pfx+".live.hits", func() float64 { return float64(u.stats().Hits) })
-		p.Gauge(pfx+".live.misses", func() float64 { return float64(u.stats().Misses) })
-		p.Gauge(pfx+".live.lookups", func() float64 { return float64(u.stats().Lookups()) })
+		p.Gauge(pfx+".live.hits", func() float64 { return float64(u.tlb.stats().Hits) })
+		p.Gauge(pfx+".live.misses", func() float64 { return float64(u.tlb.stats().Misses) })
+		p.Gauge(pfx+".live.lookups", func() float64 { return float64(u.tlb.stats().Lookups()) })
 	}
 }
 
@@ -367,7 +346,7 @@ func (s *Simulator) FinalizeMetrics() *obs.Registry {
 	s.finalized = true
 	for _, u := range s.units {
 		p := "tlb." + slug(u.spec.Label())
-		u.stats().Record(s.metrics, p)
+		u.tlb.stats().Record(s.metrics, p)
 		s.metrics.Counter(p + ".walk.count").Add(u.walks)
 		s.metrics.Counter(p + ".walk.refs").Add(u.walkRefs)
 		if u.pwc != nil {
@@ -420,14 +399,7 @@ func (s *Simulator) onEvict(asid core.ASID, vpn core.VPN) {
 	}
 	tagged := taggedVPN(asid, vpn)
 	for _, u := range s.units {
-		switch {
-		case u.vanilla != nil:
-			u.vanilla.Invalidate(tagged)
-		case u.coalesced != nil:
-			u.coalesced.Invalidate(tagged)
-		default:
-			u.mosaic.InvalidateSub(tagged)
-		}
+		u.tlb.invalidate(tagged)
 	}
 }
 
@@ -442,14 +414,7 @@ func (s *Simulator) FlushTLBs() {
 		})
 	}
 	for _, u := range s.units {
-		switch {
-		case u.vanilla != nil:
-			u.vanilla.Flush()
-		case u.coalesced != nil:
-			u.coalesced.Flush()
-		default:
-			u.mosaic.Flush()
-		}
+		u.tlb.flush()
 	}
 }
 
@@ -570,119 +535,34 @@ func (s *Simulator) mustCheck() {
 //     into the allocator's bitmap and hashing invariants);
 //   - monotonicity of the access clock and of the Horizon LRU ghost
 //     threshold across successive calls;
-//   - TLB ↔ page-table coherence: every valid entry of every vanilla and
-//     mosaic TLB unit must agree with the owning address space's page
-//     table. A stale-invalid sub-entry is fine — it is just a future
-//     miss — but a valid entry naming a frame the page table no longer
-//     maps would let the simulated hardware use a frame the OS gave away.
-//     Because mosaic placement is stable, a resident page never moves;
-//     remaps happen only through evictions, which shoot the entry down.
-//
-// Coalesced (CoLT) units are not audited: their runs are rebuilt from
-// neighbouring PTEs on every fill and have no single page-table entry to
-// compare against.
+//   - TLB ↔ page-table coherence: every valid translation of every TLB
+//     unit must agree with the owning address space's page table — each
+//     valid vanilla entry, each valid mosaic sub-entry, and each page a
+//     valid CoLT run covers. A stale-invalid sub-entry is fine — it is
+//     just a future miss — but a valid entry naming a frame the page
+//     table no longer maps would let the simulated hardware use a frame
+//     the OS gave away. Because mosaic placement is stable, a resident
+//     page never moves; remaps happen only through evictions, which shoot
+//     the entry down.
 func (s *Simulator) CheckInvariants(r *invariant.Report) {
 	s.os.CheckInvariants(r)
 	s.clockMono.Observe(r, s.os.Clock())
 	s.horizonMono.Observe(r, s.os.Horizon())
-
-	const vpnMask = 1<<asidTagShift - 1
 	for _, u := range s.units {
-		label := u.spec.Label()
-		switch {
-		case u.vanilla != nil:
-			u.vanilla.Range(func(key uint64, pfn core.PFN) {
-				asid := core.ASID(key >> asidTagShift)
-				vpn := core.VPN(key & vpnMask)
-				pt, ok := s.vanillaPTs[asid]
-				if !r.Checkf(ok, "memsim.tlb-coherence",
-					"%s: valid entry for ASID %d, which has no page table", label, asid) {
-					return
-				}
-				got, mapped := pt.Get(vpn)
-				if !r.Checkf(mapped, "memsim.tlb-coherence",
-					"%s: valid entry for ASID %d VPN %#x, which the page table does not map", label, asid, vpn) {
-					return
-				}
-				r.Checkf(got == pfn, "memsim.tlb-coherence",
-					"%s: entry for ASID %d VPN %#x holds PFN %d, page table says %d", label, asid, vpn, pfn, got)
-			})
-		case u.mosaic != nil:
-			arity := u.spec.Arity
-			u.mosaic.Range(func(key uint64, toc tlb.ToC) {
-				for off, c := range toc {
-					if c == core.CPFNInvalid {
-						continue
-					}
-					tagged := core.BaseVPN(core.MVPN(key), arity, off)
-					asid := core.ASID(uint64(tagged) >> asidTagShift)
-					vpn := core.VPN(uint64(tagged) & vpnMask)
-					pt, ok := s.mosaicPTs[ptKey{asid: asid, arity: arity}]
-					if !r.Checkf(ok, "memsim.tlb-coherence",
-						"%s: valid sub-entry for ASID %d, which has no page table", label, asid) {
-						continue
-					}
-					got, mapped := pt.Get(vpn)
-					if !r.Checkf(mapped, "memsim.tlb-coherence",
-						"%s: valid sub-entry for ASID %d VPN %#x, which the page table does not map", label, asid, vpn) {
-						continue
-					}
-					r.Checkf(got == c, "memsim.tlb-coherence",
-						"%s: sub-entry for ASID %d VPN %#x holds CPFN %d, page table says %d", label, asid, vpn, c, got)
-				}
-			})
-		}
+		u.tlb.audit(s, u.spec.Label(), r)
 	}
 }
 
 func (s *Simulator) lookupAndFill(u *unit, asid core.ASID, vpn core.VPN) {
 	tagged := taggedVPN(asid, vpn)
-	switch {
-	case u.vanilla != nil:
-		if _, hit := u.vanilla.Lookup(tagged); hit {
-			return
-		}
-		pfn, ok, path := s.vanillaPT(asid).Walk(vpn, s.path[:0])
-		s.walkTraffic(u, path)
-		if !ok {
-			//lint:ignore nopanic the page table was updated on fault before any TLB lookup, so a resident VPN always walks
-			panic(fmt.Sprintf("memsim: vanilla walk failed for resident VPN %#x", vpn))
-		}
-		u.vanilla.Insert(tagged, pfn)
-	case u.coalesced != nil:
-		if _, hit := u.coalesced.Lookup(tagged); hit {
-			return
-		}
-		pt := s.vanillaPT(asid)
-		pfn, ok, path := pt.Walk(vpn, s.path[:0])
-		s.walkTraffic(u, path)
-		if !ok {
-			//lint:ignore nopanic the page table was updated on fault before any TLB lookup, so a resident VPN always walks
-			panic(fmt.Sprintf("memsim: coalescing walk failed for resident VPN %#x", vpn))
-		}
-		// CoLT's walker inspects the neighbouring PTEs in the same leaf
-		// cache line it already fetched, so offering the aligned group for
-		// coalescing costs no extra memory traffic. The ASID tag is
-		// group-aligned (it lives far above the run bits), so tagging does
-		// not split runs.
-		nb := u.neighbours
-		base := core.VPN(uint64(vpn) &^ uint64(len(nb)-1))
-		for i := range nb {
-			npfn, nok := pt.Get(base + core.VPN(i))
-			nb[i] = tlb.NeighbourPFN{PFN: npfn, OK: nok}
-		}
-		u.coalesced.Insert(tagged, pfn, nb)
-	default:
-		if _, hit := u.mosaic.Lookup(tagged); hit {
-			return
-		}
-		toc, ok, path := s.mosaicPT(asid, u.spec.Arity).WalkToC(vpn, s.path[:0])
-		s.walkTraffic(u, path)
-		if !ok {
-			//lint:ignore nopanic the mosaic page table was updated on fault before any TLB lookup, so a resident VPN always walks
-			panic(fmt.Sprintf("memsim: mosaic walk failed for resident VPN %#x", vpn))
-		}
-		u.mosaic.Insert(tagged, toc)
+	if u.tlb.lookup(tagged) {
+		return
+	}
+	path, ok := u.tlb.fill(s, asid, vpn, tagged, s.path[:0])
+	s.walkTraffic(u, path)
+	if !ok {
+		//lint:ignore nopanic the page tables are updated on fault before any TLB lookup, so a resident VPN always walks
+		panic(fmt.Sprintf("memsim: %s walk failed for resident VPN %#x", u.spec.Label(), vpn))
 	}
 }
 
@@ -713,18 +593,11 @@ func (s *Simulator) walkTraffic(u *unit, path []uint64) {
 
 // Results snapshots the per-design-point outcomes.
 func (s *Simulator) Results() []Result {
-	out := make([]Result, 0, len(s.units))
-	for _, u := range s.units {
-		r := Result{Spec: u.spec, Walks: u.walks, WalkAccesses: u.walkRefs, WalkCacheHits: u.pwcHits}
-		switch {
-		case u.vanilla != nil:
-			r.TLB = u.vanilla.Stats()
-		case u.coalesced != nil:
-			r.TLB = u.coalesced.Stats()
-			r.CoalescingFactor = u.coalesced.AvgRunLength()
-		default:
-			r.TLB = u.mosaic.Stats()
-		}
+	out := make([]Result, len(s.units))
+	for i, u := range s.units {
+		r := &out[i]
+		*r = Result{Spec: u.spec, Walks: u.walks, WalkAccesses: u.walkRefs, WalkCacheHits: u.pwcHits}
+		u.tlb.result(r)
 		if u.caches != nil {
 			r.AMAT = u.caches.AMAT()
 			r.TotalCycles = u.caches.TotalCycles()
@@ -733,7 +606,6 @@ func (s *Simulator) Results() []Result {
 				r.CacheStats = append(r.CacheStats, l.Stats())
 			}
 		}
-		out = append(out, r)
 	}
 	return out
 }

@@ -2,12 +2,13 @@ package tlb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mosaic/internal/core"
 )
 
 // Coalesced is a CoLT-style coalescing TLB (§5.2 of the paper; Pham et al.,
-// MICRO '12): an entry covers a run of up to MaxRun pages that are both
+// MICRO '12): an entry covers a run of up to maxRun pages that are both
 // virtually AND physically contiguous. It is the contiguity-dependent
 // competitor to mosaic pages — its reach gains are proportional to whatever
 // physical contiguity the allocator happens to produce, which is plentiful
@@ -16,53 +17,32 @@ import (
 // quantifies the paper's core claim: mosaic buys reach without needing
 // contiguity.
 //
-// Entries are indexed by the aligned run base (VPN / MaxRun), so a run
+// Entries are indexed by the aligned run base (VPN / maxRun), so a run
 // never spans index groups — the hardware-practical variant of CoLT-SA.
 type Coalesced struct {
-	geom   Geometry
-	maxRun int
-	sets   []set[coalescedEntry]
-	mask   uint64
-	stats  Stats
-	// CoalescedFills counts fills whose run covered more than one page.
-	coalescedFills uint64
-	fills          uint64
-	pagesCovered   uint64
+	table[coalescedEntry]
+	maxRun       int
+	fills        uint64
+	pagesCovered uint64
 }
 
+// coalescedEntry is the payload of the entry tagged with its run's base
+// VPN.
 type coalescedEntry struct {
-	baseVPN core.VPN
 	basePFN core.PFN
-	// valid is a bitmap over the MaxRun aligned slots: bit i covers
-	// baseVPN+i, mapped to basePFN+i.
+	// valid is a bitmap over the maxRun aligned slots: bit i covers
+	// base+i, mapped to basePFN+i.
 	valid uint64
 }
 
 // NewCoalesced builds a coalescing TLB. maxRun must be a power of two ≤ 64
 // (CoLT proposals use 4–8).
 func NewCoalesced(geom Geometry, maxRun int) *Coalesced {
-	if err := geom.Validate(); err != nil {
-		panic(err)
-	}
 	if maxRun <= 0 || maxRun > 64 || maxRun&(maxRun-1) != 0 {
 		panic(fmt.Sprintf("tlb: coalescing run length %d not a power of two in [1,64]", maxRun))
 	}
-	t := &Coalesced{geom: geom, maxRun: maxRun, mask: uint64(geom.Sets() - 1)}
-	t.sets = newSets[coalescedEntry](geom.Sets(), geom.Ways)
-	return t
+	return &Coalesced{table: newTable[coalescedEntry](geom), maxRun: maxRun}
 }
-
-// Geometry returns the TLB geometry.
-func (t *Coalesced) Geometry() Geometry { return t.geom }
-
-// MaxRun is the maximum pages per entry.
-func (t *Coalesced) MaxRun() int { return t.maxRun }
-
-// Stats returns the event counters.
-func (t *Coalesced) Stats() Stats { return t.stats }
-
-// CoalescedFills counts fills that coalesced more than one translation.
-func (t *Coalesced) CoalescedFills() uint64 { return t.coalescedFills }
 
 // AvgRunLength is the mean pages covered per fill — the achieved
 // coalescing factor.
@@ -77,15 +57,17 @@ func (t *Coalesced) group(vpn core.VPN) (base core.VPN, off int) {
 	return core.VPN(uint64(vpn) &^ uint64(t.maxRun-1)), int(uint64(vpn) & uint64(t.maxRun-1))
 }
 
-func (t *Coalesced) set(base core.VPN) *set[coalescedEntry] {
-	return &t.sets[(uint64(base)/uint64(t.maxRun))&t.mask]
+// groupSet is the set holding base's group. The group number, not the
+// VPN, indexes the sets, so consecutive groups spread across them.
+func (t *Coalesced) groupSet(base core.VPN) *set[coalescedEntry] {
+	return t.set(uint64(base) / uint64(t.maxRun))
 }
 
 // Lookup translates vpn: a hit requires an entry for vpn's aligned group
 // whose validity bitmap covers vpn's slot.
 func (t *Coalesced) Lookup(vpn core.VPN) (core.PFN, bool) {
 	base, off := t.group(vpn)
-	e, ok := t.set(base).get(uint64(base))
+	e, ok := t.groupSet(base).get(uint64(base))
 	if ok && e.valid&(1<<uint(off)) != 0 {
 		t.stats.Hits++
 		return e.basePFN.Add(uint64(off)), true
@@ -107,7 +89,7 @@ func (t *Coalesced) Lookup(vpn core.VPN) (core.PFN, bool) {
 // coalescing.
 func (t *Coalesced) Insert(vpn core.VPN, pfn core.PFN, neighbours []NeighbourPFN) {
 	base, off := t.group(vpn)
-	e := coalescedEntry{baseVPN: base, valid: 1 << uint(off)}
+	e := coalescedEntry{valid: 1 << uint(off)}
 	// Anchor the run so base maps to basePFN.
 	e.basePFN = pfn.Sub(uint64(off))
 	covered := uint64(1)
@@ -122,10 +104,7 @@ func (t *Coalesced) Insert(vpn core.VPN, pfn core.PFN, neighbours []NeighbourPFN
 	}
 	t.fills++
 	t.pagesCovered += covered
-	if covered > 1 {
-		t.coalescedFills++
-	}
-	if _, evicted := t.set(base).insert(uint64(base), e); evicted {
+	if _, evicted := t.groupSet(base).insert(uint64(base), e); evicted {
 		t.stats.Evictions++
 	}
 }
@@ -140,7 +119,7 @@ type NeighbourPFN struct {
 // survives with vpn's bit cleared; a now-empty entry is removed.
 func (t *Coalesced) Invalidate(vpn core.VPN) bool {
 	base, off := t.group(vpn)
-	s := t.set(base)
+	s := t.groupSet(base)
 	e, ok := s.peek(uint64(base))
 	if !ok || e.valid&(1<<uint(off)) == 0 {
 		return false
@@ -152,18 +131,17 @@ func (t *Coalesced) Invalidate(vpn core.VPN) bool {
 	return true
 }
 
-// Flush invalidates every entry.
-func (t *Coalesced) Flush() {
-	for _, s := range t.sets {
-		s.clear()
-	}
-}
-
-// Len is the number of valid entries.
-func (t *Coalesced) Len() int {
-	n := 0
-	for _, s := range t.sets {
-		n += s.len()
-	}
-	return n
+// Range calls fn for every page a valid entry covers, with the PFN the
+// entry translates it to, in unspecified order, without affecting recency
+// or the counters. The key is the VPN Insert was called with (in memsim,
+// the ASID-tagged VPN), so the pairs have the shape of Vanilla's. Range
+// exists for the invariant checkers, which audit TLB contents against the
+// page tables.
+func (t *Coalesced) Range(fn func(key uint64, pfn core.PFN)) {
+	t.table.Range(func(base uint64, e coalescedEntry) {
+		for v := e.valid; v != 0; v &= v - 1 {
+			i := uint64(bits.TrailingZeros64(v))
+			fn(base+i, e.basePFN.Add(i))
+		}
+	})
 }

@@ -27,9 +27,6 @@ func TestCoalescedContiguousRunOneEntry(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("contiguous run used %d entries", c.Len())
 	}
-	if c.CoalescedFills() != 1 {
-		t.Fatalf("CoalescedFills = %d", c.CoalescedFills())
-	}
 	if got := c.AvgRunLength(); got != 4 {
 		t.Fatalf("AvgRunLength = %f", got)
 	}
@@ -46,8 +43,8 @@ func TestCoalescedScatteredNoBenefit(t *testing.T) {
 	if _, ok := c.Lookup(1); ok {
 		t.Fatal("non-contiguous neighbour hit")
 	}
-	if c.CoalescedFills() != 0 {
-		t.Fatalf("CoalescedFills = %d for scattered PFNs", c.CoalescedFills())
+	if got := c.AvgRunLength(); got != 1 {
+		t.Fatalf("AvgRunLength = %f for scattered PFNs", got)
 	}
 	// Each page of the group needs its own fill; entries overwrite within
 	// the group slot, so coverage of the previous page is rebuilt from the

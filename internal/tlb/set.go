@@ -22,11 +22,6 @@ type set[P any] struct {
 	tail    int32 // least recently used
 }
 
-func newSet[P any](ways int) *set[P] {
-	sets := newSets[P](1, ways)
-	return &sets[0]
-}
-
 // newSets builds all of a TLB's sets at once, carving every per-slot array
 // out of one shared backing allocation per field. The per-set state is
 // struct-of-arrays and contiguous across sets — tags with tags, payloads
@@ -60,6 +55,60 @@ func newSets[P any](numSets, ways int) []set[P] {
 		s.head, s.tail = -1, -1
 	}
 	return sets
+}
+
+// table is the storage every TLB design shares: the sets, the index mask,
+// and the event counters. Vanilla, Mosaic and Coalesced embed it, so they
+// differ only in what an entry stores and how a key picks its set.
+type table[P any] struct {
+	sets  []set[P]
+	mask  uint64
+	stats Stats
+}
+
+func newTable[P any](geom Geometry) table[P] {
+	if err := geom.Validate(); err != nil {
+		panic(err)
+	}
+	return table[P]{sets: newSets[P](geom.Sets(), geom.Ways), mask: uint64(geom.Sets() - 1)}
+}
+
+// set is the set that key indexes, by its low bits.
+func (t *table[P]) set(key uint64) *set[P] { return &t.sets[key&t.mask] }
+
+// Stats returns the event counters accumulated so far.
+func (t *table[P]) Stats() Stats { return t.stats }
+
+// Flush invalidates every entry (a full TLB flush, as on a non-PCID
+// context switch).
+func (t *table[P]) Flush() {
+	for i := range t.sets {
+		t.sets[i].clear()
+	}
+}
+
+// Len is the number of valid entries.
+func (t *table[P]) Len() int {
+	n := 0
+	for i := range t.sets {
+		n += t.sets[i].len()
+	}
+	return n
+}
+
+// Range calls fn for every valid entry, in unspecified order, without
+// affecting recency or the counters. The key is the entry's tag: the VPN
+// a Vanilla entry was inserted under, the MVPN of a Mosaic entry (in
+// memsim, both derive from the ASID-tagged VPN). A payload such as a ToC
+// is live and must not be mutated. Range exists for the invariant
+// checkers, which audit TLB contents against the page tables.
+func (t *table[P]) Range(fn func(key uint64, p P)) {
+	for i := range t.sets {
+		s := &t.sets[i]
+		for tag, slot := range s.index {
+			fn(tag, s.payload[slot])
+		}
+	}
 }
 
 // lookup returns the slot holding tag without touching recency. It is the
@@ -176,19 +225,9 @@ func (s *set[P]) invalidate(tag uint64) bool {
 // len is the number of valid entries in the set.
 func (s *set[P]) len() int { return len(s.tags) - len(s.free) }
 
-// each calls fn for every valid entry, in unspecified order, without
-// touching recency.
-func (s *set[P]) each(fn func(tag uint64, p *P)) {
-	for tag, i := range s.index {
-		fn(tag, &s.payload[i])
-	}
-}
-
 // clear invalidates every entry in the set.
 func (s *set[P]) clear() {
-	for tag := range s.index {
-		delete(s.index, tag)
-	}
+	clear(s.index)
 	var zero P
 	for i := range s.payload {
 		s.payload[i] = zero

@@ -9,35 +9,17 @@ import (
 // Vanilla is a conventional TLB: each entry maps one VPN to one PFN, as in
 // the paper's baseline x86 configuration.
 type Vanilla struct {
-	geom  Geometry
-	sets  []set[core.PFN]
-	mask  uint64
-	stats Stats
+	table[core.PFN]
 }
 
 // NewVanilla builds a vanilla TLB.
 func NewVanilla(geom Geometry) *Vanilla {
-	if err := geom.Validate(); err != nil {
-		panic(err)
-	}
-	t := &Vanilla{geom: geom, mask: uint64(geom.Sets() - 1)}
-	t.sets = newSets[core.PFN](geom.Sets(), geom.Ways)
-	return t
-}
-
-// Geometry returns the TLB geometry.
-func (t *Vanilla) Geometry() Geometry { return t.geom }
-
-// Stats returns the event counters accumulated so far.
-func (t *Vanilla) Stats() Stats { return t.stats }
-
-func (t *Vanilla) set(vpn core.VPN) *set[core.PFN] {
-	return &t.sets[uint64(vpn)&t.mask]
+	return &Vanilla{newTable[core.PFN](geom)}
 }
 
 // Lookup translates vpn, counting a hit or a miss.
 func (t *Vanilla) Lookup(vpn core.VPN) (core.PFN, bool) {
-	if p, ok := t.set(vpn).get(uint64(vpn)); ok {
+	if p, ok := t.set(uint64(vpn)).get(uint64(vpn)); ok {
 		t.stats.Hits++
 		return *p, true
 	}
@@ -49,7 +31,7 @@ func (t *Vanilla) Lookup(vpn core.VPN) (core.PFN, bool) {
 // Insert fills the translation after a page-table walk, evicting LRU within
 // the set if needed.
 func (t *Vanilla) Insert(vpn core.VPN, pfn core.PFN) {
-	if _, evicted := t.set(vpn).insert(uint64(vpn), pfn); evicted {
+	if _, evicted := t.set(uint64(vpn)).insert(uint64(vpn), pfn); evicted {
 		t.stats.Evictions++
 	}
 }
@@ -57,37 +39,7 @@ func (t *Vanilla) Insert(vpn core.VPN, pfn core.PFN) {
 // Invalidate drops the entry for vpn (TLB shootdown), reporting whether it
 // was present.
 func (t *Vanilla) Invalidate(vpn core.VPN) bool {
-	return t.set(vpn).invalidate(uint64(vpn))
-}
-
-// Len is the number of valid entries.
-func (t *Vanilla) Len() int {
-	n := 0
-	for _, s := range t.sets {
-		n += s.len()
-	}
-	return n
-}
-
-// Reach is the memory covered by a full TLB, in bytes.
-func (t *Vanilla) Reach() uint64 { return uint64(t.geom.Entries) * core.PageSize }
-
-// Range calls fn for every valid entry, in unspecified order, without
-// affecting recency or the hit/miss counters. The key is the value Insert
-// was called with (in memsim, the ASID-tagged VPN). Range exists for the
-// invariant checkers, which audit TLB contents against the page tables.
-func (t *Vanilla) Range(fn func(key uint64, pfn core.PFN)) {
-	for _, s := range t.sets {
-		s.each(func(tag uint64, p *core.PFN) { fn(tag, *p) })
-	}
-}
-
-// Flush invalidates every entry (a full TLB flush, as on a non-PCID
-// context switch).
-func (t *Vanilla) Flush() {
-	for _, s := range t.sets {
-		s.clear()
-	}
+	return t.set(uint64(vpn)).invalidate(uint64(vpn))
 }
 
 // ToC is a mosaic TLB entry payload: the table of contents of one mosaic
@@ -100,39 +52,18 @@ type ToC []core.CPFN
 // entries for an entire mosaic page"); invalidation of a sub-page clears
 // only that CPFN.
 type Mosaic struct {
-	geom  Geometry
+	table[ToC]
 	arity int
-	sets  []set[ToC]
-	mask  uint64
-	stats Stats
 }
 
 // NewMosaic builds a mosaic TLB with the given entry geometry and arity
 // (sub-pages per entry). The paper varies arity over powers of two from 4
 // to 64.
 func NewMosaic(geom Geometry, arity int) *Mosaic {
-	if err := geom.Validate(); err != nil {
-		panic(err)
-	}
 	if arity <= 0 || arity&(arity-1) != 0 {
 		panic(fmt.Sprintf("tlb: arity %d is not a positive power of two", arity))
 	}
-	t := &Mosaic{geom: geom, arity: arity, mask: uint64(geom.Sets() - 1)}
-	t.sets = newSets[ToC](geom.Sets(), geom.Ways)
-	return t
-}
-
-// Geometry returns the TLB geometry.
-func (t *Mosaic) Geometry() Geometry { return t.geom }
-
-// Arity is the number of sub-pages per entry.
-func (t *Mosaic) Arity() int { return t.arity }
-
-// Stats returns the event counters accumulated so far.
-func (t *Mosaic) Stats() Stats { return t.stats }
-
-func (t *Mosaic) set(m core.MVPN) *set[ToC] {
-	return &t.sets[uint64(m)&t.mask]
+	return &Mosaic{table: newTable[ToC](geom), arity: arity}
 }
 
 // Lookup translates vpn. A hit requires both the mosaic entry to be present
@@ -140,7 +71,7 @@ func (t *Mosaic) set(m core.MVPN) *set[ToC] {
 // separately (Stats.EntryMisses vs Stats.SubMisses).
 func (t *Mosaic) Lookup(vpn core.VPN) (core.CPFN, bool) {
 	mvpn, off := core.MosaicPage(vpn, t.arity)
-	toc, ok := t.set(mvpn).get(uint64(mvpn))
+	toc, ok := t.set(uint64(mvpn)).get(uint64(mvpn))
 	if !ok {
 		t.stats.Misses++
 		t.stats.EntryMisses++
@@ -166,7 +97,7 @@ func (t *Mosaic) Insert(vpn core.VPN, toc ToC) {
 	mvpn, _ := core.MosaicPage(vpn, t.arity)
 	cp := make(ToC, t.arity)
 	copy(cp, toc)
-	if _, evicted := t.set(mvpn).insert(uint64(mvpn), cp); evicted {
+	if _, evicted := t.set(uint64(mvpn)).insert(uint64(mvpn), cp); evicted {
 		t.stats.Evictions++
 	}
 }
@@ -177,7 +108,7 @@ func (t *Mosaic) Insert(vpn core.VPN, toc ToC) {
 // cleared.
 func (t *Mosaic) InvalidateSub(vpn core.VPN) bool {
 	mvpn, off := core.MosaicPage(vpn, t.arity)
-	toc, ok := t.set(mvpn).peek(uint64(mvpn))
+	toc, ok := t.set(uint64(mvpn)).peek(uint64(mvpn))
 	if !ok {
 		return false
 	}
@@ -186,45 +117,6 @@ func (t *Mosaic) InvalidateSub(vpn core.VPN) bool {
 	}
 	(*toc)[off] = core.CPFNInvalid
 	return true
-}
-
-// InvalidateEntry drops the whole mosaic entry containing vpn.
-func (t *Mosaic) InvalidateEntry(vpn core.VPN) bool {
-	mvpn, _ := core.MosaicPage(vpn, t.arity)
-	return t.set(mvpn).invalidate(uint64(mvpn))
-}
-
-// Len is the number of valid entries (whole mosaic pages).
-func (t *Mosaic) Len() int {
-	n := 0
-	for _, s := range t.sets {
-		n += s.len()
-	}
-	return n
-}
-
-// Reach is the memory covered by a full TLB with fully-populated ToCs: a
-// factor of arity more than a vanilla TLB of equal entry count.
-func (t *Mosaic) Reach() uint64 {
-	return uint64(t.geom.Entries) * uint64(t.arity) * core.PageSize
-}
-
-// Flush invalidates every entry.
-func (t *Mosaic) Flush() {
-	for _, s := range t.sets {
-		s.clear()
-	}
-}
-
-// Range calls fn for every valid entry, in unspecified order, without
-// affecting recency or the hit/miss counters. The key is the MVPN the entry
-// was inserted under (in memsim, derived from the ASID-tagged VPN); the ToC
-// is the live payload and must not be mutated. Range exists for the
-// invariant checkers, which audit TLB contents against the page tables.
-func (t *Mosaic) Range(fn func(key uint64, toc ToC)) {
-	for _, s := range t.sets {
-		s.each(func(tag uint64, p *ToC) { fn(tag, *p) })
-	}
 }
 
 // InvalidToC returns a fresh all-invalid ToC of the TLB's arity.

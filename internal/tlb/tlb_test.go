@@ -180,13 +180,29 @@ func TestMosaicSharedEntryAcrossSubpages(t *testing.T) {
 }
 
 func TestMosaicReach(t *testing.T) {
-	tm := NewMosaic(Geometry{Entries: 1024, Ways: 8}, 4)
-	tv := NewVanilla(Geometry{Entries: 1024, Ways: 8})
-	if tm.Reach() != 4*tv.Reach() {
-		t.Errorf("mosaic reach %d, vanilla %d: want ×4", tm.Reach(), tv.Reach())
+	// A full mosaic TLB maps arity× the pages of a vanilla TLB with the
+	// same entry count: 4096 pages fill 1024 arity-4 entries exactly.
+	geom := Geometry{Entries: 1024, Ways: 8}
+	tm := NewMosaic(geom, 4)
+	tv := NewVanilla(geom)
+	const pages = 4 * 1024
+	for v := core.VPN(0); v < pages; v++ {
+		tv.Insert(v, core.PFN(v))
+		if v%4 == 0 {
+			tm.Insert(v, ToC{1, 2, 3, 4})
+		}
 	}
-	if tv.Reach() != 1024*4096 {
-		t.Errorf("vanilla reach = %d", tv.Reach())
+	mosaicHits, vanillaHits := 0, 0
+	for v := core.VPN(0); v < pages; v++ {
+		if _, ok := tm.Lookup(v); ok {
+			mosaicHits++
+		}
+		if _, ok := tv.Lookup(v); ok {
+			vanillaHits++
+		}
+	}
+	if mosaicHits != pages || vanillaHits != 1024 {
+		t.Errorf("full TLBs map %d mosaic and %d vanilla pages, want %d and 1024", mosaicHits, vanillaHits, pages)
 	}
 }
 
@@ -209,13 +225,7 @@ func TestMosaicInvalidateSub(t *testing.T) {
 	if tm.Len() != 1 {
 		t.Errorf("Len = %d; sub-invalidation must not drop the entry", tm.Len())
 	}
-	if !tm.InvalidateEntry(1) {
-		t.Error("InvalidateEntry failed")
-	}
-	if tm.Len() != 0 {
-		t.Errorf("Len after entry invalidation = %d", tm.Len())
-	}
-	if tm.InvalidateSub(1) {
+	if tm.InvalidateSub(100) {
 		t.Error("InvalidateSub on absent entry = true")
 	}
 }
@@ -304,7 +314,7 @@ func TestMosaicCoversMoreThanVanillaOnSequentialScan(t *testing.T) {
 
 func TestSetRandomizedAgainstModel(t *testing.T) {
 	// Differential test of the LRU set machinery against a reference model.
-	s := newSet[int](4)
+	s := &newSets[int](1, 4)[0]
 	type entry struct {
 		tag uint64
 		val int
@@ -364,6 +374,63 @@ func TestSetRandomizedAgainstModel(t *testing.T) {
 		}
 		if s.len() != len(model) {
 			t.Fatalf("len = %d, model %d", s.len(), len(model))
+		}
+	}
+}
+
+// TestFlushEmptiesEverySet fills one set of each design, flushes, and
+// refills that set with as many new tags as it has ways: every refilled tag
+// must hit and the refill must evict nothing, because a flushed set has
+// all its ways free again.
+func TestFlushEmptiesEverySet(t *testing.T) {
+	geom := Geometry{Entries: 8, Ways: 4}
+	v := NewVanilla(geom)
+	m := NewMosaic(geom, 4)
+	c := NewCoalesced(geom, 4)
+	designs := []struct {
+		name string
+		tlb  interface {
+			Flush()
+			Len() int
+			Stats() Stats
+		}
+		// stride is the VPN distance between consecutive tags of set 0:
+		// the set count times the pages one entry covers.
+		stride core.VPN
+		fill   func(core.VPN)
+		hit    func(core.VPN) bool
+	}{
+		{"vanilla", v, 2,
+			func(p core.VPN) { v.Insert(p, core.PFN(p)) },
+			func(p core.VPN) bool { _, ok := v.Lookup(p); return ok }},
+		{"mosaic", m, 8,
+			func(p core.VPN) { m.Insert(p, ToC{1, 2, 3, 4}) },
+			func(p core.VPN) bool { _, ok := m.Lookup(p); return ok }},
+		{"coalesced", c, 8,
+			func(p core.VPN) { c.Insert(p, core.PFN(p), nil) },
+			func(p core.VPN) bool { _, ok := c.Lookup(p); return ok }},
+	}
+	for _, d := range designs {
+		for i := 0; i < geom.Ways; i++ {
+			d.fill(core.VPN(i) * d.stride)
+		}
+		d.tlb.Flush()
+		if n := d.tlb.Len(); n != 0 {
+			t.Errorf("%s: Len = %d after Flush", d.name, n)
+		}
+		evictions := d.tlb.Stats().Evictions
+		refill := make([]core.VPN, geom.Ways)
+		for i := range refill {
+			refill[i] = core.VPN(geom.Ways+i) * d.stride
+			d.fill(refill[i])
+		}
+		for _, p := range refill {
+			if !d.hit(p) {
+				t.Errorf("%s: refilled VPN %d misses after Flush", d.name, p)
+			}
+		}
+		if got := d.tlb.Stats().Evictions; got != evictions {
+			t.Errorf("%s: refill of a flushed set evicted %d entries", d.name, got-evictions)
 		}
 	}
 }

@@ -9,6 +9,14 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# Formatting gate: every tracked Go file must be gofmt-clean. Analyzer
+# fixtures under testdata/ are exempt: they are analyzer inputs, not code.
+unformatted="$(git ls-files '*.go' ':(exclude)**/testdata/**' | xargs gofmt -l)"
+[ -z "$unformatted" ]
+# The benchmark harness is a nested module that imports internal packages
+# (tlb, pagetable, vm, cache); the root build never compiles it, so vet and
+# test it here to catch an internal API change that would break it.
+(cd perfbench && go vet ./... && go test .)
 # The whole-module run includes the three compiler gates (hotalloc escape
 # budget, bcegate bounds checks, inlinegate pinned hot functions) on top
 # of the per-package analyzers.
@@ -62,6 +70,11 @@ go test -run 'TestBatchReplayMatchesScalar' -count=1 .
 # (results.Read rejects anything else), and mosaicstat must render it.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+# Multiprogramming golden: the driver's default run must reproduce the
+# committed results file byte for byte (it is the only run that flushes
+# TLBs, so nothing else pins Flush).
+go run ./cmd/multiprog >"$tmp/multiprog.txt"
+cmp "$tmp/multiprog.txt" results/multiprog.txt
 go run ./cmd/fig6 -workload gups -footprint 8 -maxrefs 200000 \
 	-sample 50000 -o "$tmp/fig6-smoke.json" >/dev/null
 go run ./cmd/mosaicstat show "$tmp/fig6-smoke.json" >/dev/null

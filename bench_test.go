@@ -62,8 +62,7 @@ func BenchmarkFigure6GUPS(b *testing.B)     { benchFigure6(b, "gups") }
 func BenchmarkFigure6XSBench(b *testing.B)  { benchFigure6(b, "xsbench") }
 
 // The sequential/parallel pair measures the sweep engine's wall-clock win
-// on an identical workload (scripts/bench.sh records the ratio into
-// BENCH_parallel.json); results are bit-identical by construction.
+// on an identical workload; results are bit-identical by construction.
 func BenchmarkFigure6Sequential(b *testing.B) { benchFigure6Workers(b, "gups", 1) }
 func BenchmarkFigure6Parallel(b *testing.B)   { benchFigure6Workers(b, "gups", 4) }
 
@@ -255,9 +254,9 @@ func BenchmarkHarnessRunBatch(b *testing.B) {
 }
 
 // BenchmarkHarnessGenerateGUPS measures workload generation alone: GUPS
-// emitting into a counting sink. scripts/bench.sh records it into
-// BENCH_parallel.json and mosaicstat bench lines it up against the replay
-// dispatch rate, answering whether generation or simulation bounds a sweep.
+// emitting into a counting sink. Set against BenchmarkHarnessRunBatch's
+// replay dispatch rate, it answers whether generation or simulation bounds
+// a sweep.
 func BenchmarkHarnessGenerateGUPS(b *testing.B) {
 	const refs = 1 << 20
 	w, err := NewWorkload("gups", 8<<20, 1)

@@ -6,21 +6,15 @@
 //	mosaicstat show results/fig6.json           pretty-print one result
 //	mosaicstat diff old.json new.json           per-metric percent deltas
 //	mosaicstat diff -changed old.json new.json  only metrics that moved
-//	mosaicstat bench BENCH_obs.json             pretty-print benchmark JSON
-//	go test -bench . | mosaicstat bench -parse -o BENCH_obs.json
 //	mosaicstat watch http://127.0.0.1:7077      live windowed rates (vmstat-style)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 
 	"mosaic/internal/results"
-	"mosaic/internal/stats"
 )
 
 func main() {
@@ -37,8 +31,6 @@ func main() {
 		err = show(args[1:])
 	case "diff":
 		err = diff(args[1:])
-	case "bench":
-		err = bench(args[1:])
 	case "watch":
 		err = watch(args[1:])
 	default:
@@ -60,8 +52,6 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   mosaicstat show <result.json>
   mosaicstat diff [-changed] <a.json> <b.json>
-  mosaicstat bench <bench.json>
-  mosaicstat bench -parse [-o out.json]   (go test -bench output on stdin)
   mosaicstat watch [-interval 1s] [-count N] <mosaicd URL | results.json>
 `)
 }
@@ -107,117 +97,4 @@ func diff(args []string) error {
 	}
 	fmt.Print(results.FormatDiff(fs.Arg(0), fs.Arg(1), rows))
 	return nil
-}
-
-func bench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	parse := fs.Bool("parse", false, "parse `go test -bench` output from stdin into benchmark JSON")
-	out := fs.String("o", "BENCH_obs.json", "output path for -parse")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *parse {
-		benches, err := results.ParseGoBench(os.Stdin)
-		if err != nil {
-			return err
-		}
-		if len(benches) == 0 {
-			return fmt.Errorf("no benchmark lines on stdin")
-		}
-		data, err := json.MarshalIndent(results.BenchFile{
-			SchemaVersion: results.SchemaVersion,
-			Benchmarks:    benches,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d benchmarks)\n", *out, len(benches))
-		return nil
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("bench needs exactly one benchmark file")
-	}
-	data, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	var f results.BenchFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return err
-	}
-	tb := stats.NewTable(fmt.Sprintf("%s (schema v%d)", fs.Arg(0), f.SchemaVersion),
-		"Benchmark", "Iterations", "ns/op", "B/op", "allocs/op", "custom")
-	for _, r := range f.Benchmarks {
-		tb.AddRow(r.Name, r.N, fmt.Sprintf("%.2f", r.NsPerOp),
-			fmt.Sprintf("%.0f", r.BytesPerOp), fmt.Sprintf("%.0f", r.AllocsPerOp),
-			customMetrics(r))
-	}
-	fmt.Println(tb.String())
-	if line := replayThroughput(f.Benchmarks); line != "" {
-		fmt.Println(line)
-	}
-	if line := generationThroughput(f.Benchmarks); line != "" {
-		fmt.Println(line)
-	}
-	return nil
-}
-
-// customMetrics renders a benchmark's ReportMetric columns, sorted by unit.
-func customMetrics(r results.BenchResult) string {
-	if len(r.Metrics) == 0 {
-		return ""
-	}
-	units := make([]string, 0, len(r.Metrics))
-	for u := range r.Metrics {
-		units = append(units, u)
-	}
-	sort.Strings(units)
-	parts := make([]string, 0, len(units))
-	for _, u := range units {
-		parts = append(parts, fmt.Sprintf("%.1f %s", r.Metrics[u], u))
-	}
-	return strings.Join(parts, ", ")
-}
-
-// benchRate finds a benchmark by name (exact, or carrying a -cpu suffix)
-// and returns its Mrefs/s metric.
-func benchRate(benches []results.BenchResult, name string) (float64, bool) {
-	for _, r := range benches {
-		if r.Name == name || strings.HasPrefix(r.Name, name+"-") {
-			return r.Metric("Mrefs/s")
-		}
-	}
-	return 0, false
-}
-
-// replayThroughput summarizes the replay harness: RunBatch dispatch into
-// a counting sink, with no simulator behind it, plus the v2 frame decoder.
-func replayThroughput(benches []results.BenchResult) string {
-	replay, ok := benchRate(benches, "BenchmarkHarnessRunBatch")
-	if !ok {
-		return ""
-	}
-	line := fmt.Sprintf("harness (counting sink, no simulator): replay dispatch %.0f Mrefs/s", replay)
-	if decode, ok := benchRate(benches, "BenchmarkBatchDecode"); ok {
-		line += fmt.Sprintf(", v2 decode %.0f Mrefs/s", decode)
-	}
-	return line
-}
-
-// generationThroughput lines generation up against replay dispatch, both
-// into a counting sink: when generation keeps pace with dispatch, a sweep's
-// wall clock is bound by the simulator, not by producing references.
-func generationThroughput(benches []results.BenchResult) string {
-	gen, ok := benchRate(benches, "BenchmarkHarnessGenerateGUPS")
-	if !ok {
-		return ""
-	}
-	line := fmt.Sprintf("harness (counting sink, no simulator): gups generation %.0f Mrefs/s", gen)
-	if replay, ok := benchRate(benches, "BenchmarkHarnessRunBatch"); ok && replay > 0 {
-		line += fmt.Sprintf(" (gen/replay %.2f)", gen/replay)
-	}
-	return line
 }

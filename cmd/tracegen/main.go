@@ -1,16 +1,13 @@
 // Command tracegen captures a workload's memory-reference stream into a
 // compact binary trace file, or replays a previously captured trace through
 // the memory-system simulator. Traces let a reference stream be simulated
-// many times (or inspected) without re-running the workload.
-//
-// Captures default to the delta-encoded v2 format (-format v1 keeps the
-// fixed-record v1 encoding); replay sniffs the magic and accepts both.
+// many times (or inspected) without re-running the workload. Traces use the
+// delta-encoded, block-framed v2 format (internal/trace).
 //
 // Usage:
 //
 //	tracegen -workload graph500 -footprint 32 -out graph500.trace
 //	tracegen -replay graph500.trace [-entries 256] [-arity 4]
-//	tracegen -convert old-v1.trace -out new-v2.trace
 //	tracegen -workload gups -stats          # just count/summarize
 //	tracegen -workload gups -post http://127.0.0.1:7077   # stream to mosaicd
 package main
@@ -39,8 +36,6 @@ func main() {
 	maxRefs := flag.Uint64("maxrefs", 0, "cap on captured references (0 = full run)")
 	out := flag.String("out", "", "output trace file (capture mode)")
 	replay := flag.String("replay", "", "trace file to replay through the simulator")
-	convert := flag.String("convert", "", "v1 trace file to re-encode as v2 into -out")
-	format := flag.String("format", "v2", "capture format: v2 (delta-encoded) or v1 (fixed records)")
 	entries := flag.Int("entries", 256, "TLB entries for replay")
 	arity := flag.Int("arity", 4, "mosaic arity for replay")
 	seed := flag.Uint64("seed", 1, "random seed")
@@ -65,19 +60,12 @@ func main() {
 		if err := replayTrace(*replay, *entries, *arity); err != nil {
 			fail(err)
 		}
-	case *convert != "":
-		if *out == "" {
-			fail(fmt.Errorf("-convert needs -out"))
-		}
-		if err := convertTrace(*convert, *out); err != nil {
-			fail(err)
-		}
 	case *workload != "" && *post != "":
 		if err := postSession(*post, *workload, *footprint<<20, *maxRefs, *seed, *entries, *arity, *sample); err != nil {
 			fail(err)
 		}
 	case *workload != "" && (*out != "" || *statsOnly):
-		if err := capture(*workload, *footprint<<20, *maxRefs, *seed, *out, *format, *statsOnly); err != nil {
+		if err := capture(*workload, *footprint<<20, *maxRefs, *seed, *out, *statsOnly); err != nil {
 			fail(err)
 		}
 	default:
@@ -92,8 +80,8 @@ func main() {
 // summarizing).
 type captureSink struct {
 	name                 string
-	verb                 string          // "captured" or "streamed", for the progress line
-	enc                  trace.BatchSink // nil in -stats mode
+	verb                 string             // "captured" or "streamed", for the progress line
+	enc                  *trace.BatchWriter // nil in -stats mode
 	pages                map[core.VPN]bool
 	reads, writes, total uint64
 }
@@ -119,45 +107,20 @@ func (s *captureSink) ProcessBatch(b trace.Batch) {
 	}
 }
 
-func capture(name string, footprint, maxRefs, seed uint64, out, format string, statsOnly bool) error {
+func capture(name string, footprint, maxRefs, seed uint64, out string, statsOnly bool) error {
 	w, err := mosaic.NewWorkload(name, footprint, seed)
 	if err != nil {
 		return err
 	}
 	cs := &captureSink{name: name, verb: "captured", pages: map[core.VPN]bool{}}
-
-	// Both encoders are BatchSinks so the stats pass stays format-blind;
-	// the v1 writer encodes each batch record by record, the v2 frame
-	// encoder a frame at a time.
-	var (
-		flush func() error
-		count func() uint64
-	)
 	if !statsOnly {
 		f, err := os.Create(out)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		switch format {
-		case "v2":
-			bw, err := trace.NewBatchWriter(f)
-			if err != nil {
-				return err
-			}
-			cs.enc = bw
-			flush = bw.Flush
-			count = bw.Count
-		case "v1":
-			tw, err := trace.NewWriter(f)
-			if err != nil {
-				return err
-			}
-			cs.enc = tw
-			flush = tw.Flush
-			count = tw.Count
-		default:
-			return fmt.Errorf("unknown -format %q (want v1 or v2)", format)
+		if cs.enc, err = trace.NewBatchWriter(f); err != nil {
+			return err
 		}
 	}
 
@@ -165,48 +128,19 @@ func capture(name string, footprint, maxRefs, seed uint64, out, format string, s
 	progress.Done()
 	fmt.Printf("%s: %d refs (%d reads, %d writes), %d pages touched, footprint %d MiB\n",
 		name, cs.total, cs.reads, cs.writes, len(cs.pages), w.FootprintBytes()>>20)
-	if flush != nil {
-		if err := flush(); err != nil {
-			return err
-		}
-		info, err := os.Stat(out)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%s): %d records, %d bytes (%.2f bytes/record)\n",
-			out, format, count(), info.Size(), float64(info.Size())/float64(count()))
+	if cs.enc == nil {
+		return nil
 	}
-	return nil
-}
-
-// convertTrace re-encodes a v1 capture as a v2 delta-encoded trace.
-func convertTrace(in, out string) error {
-	src, err := os.Open(in)
+	if err := cs.enc.Flush(); err != nil {
+		return err
+	}
+	info, err := os.Stat(out)
 	if err != nil {
 		return err
 	}
-	defer src.Close()
-	dst, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer dst.Close()
-	progress.Stepf("tracegen: converting %s → %s", in, out)
-	n, err := trace.ConvertV1(dst, src)
-	if err != nil {
-		return err
-	}
-	progress.Done()
-	si, err := os.Stat(in)
-	if err != nil {
-		return err
-	}
-	so, err := os.Stat(out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("converted %d records: %d → %d bytes (%.1f%% of v1)\n",
-		n, si.Size(), so.Size(), 100*float64(so.Size())/float64(si.Size()))
+	n := cs.enc.Count()
+	fmt.Printf("wrote %s (v2): %d records, %d bytes (%.2f bytes/record)\n",
+		out, n, info.Size(), float64(info.Size())/float64(n))
 	return nil
 }
 
@@ -216,7 +150,7 @@ func replayTrace(path string, entries, arity int) error {
 		return err
 	}
 	defer f.Close()
-	tr, err := trace.Open(f)
+	tr, err := trace.NewBatchReader(f)
 	if err != nil {
 		return err
 	}
@@ -265,9 +199,9 @@ func postSession(base, name string, footprint, maxRefs, seed uint64, entries, ar
 	pr, pw := io.Pipe()
 	werr := make(chan error, 1)
 	go func() {
-		// Stream the capture in the v2 format; the daemon sniffs the magic.
-		// Batches flow from the generator straight into the frame encoder —
-		// no scalar re-batching between the workload and the wire.
+		// Stream the capture in the v2 format. Batches flow from the
+		// generator straight into the frame encoder — no scalar
+		// re-batching between the workload and the wire.
 		bw, err := trace.NewBatchWriter(pw)
 		if err != nil {
 			werr <- err

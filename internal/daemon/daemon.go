@@ -147,7 +147,14 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := r.Body
-	if err := s.pool.TrySubmit(func() { s.runSession(sess, body) }); err != nil {
+	// Answer only once runSession has also settled the admission
+	// counters, so a client that has its answer scrapes /metrics with
+	// its own session already counted as completed or failed.
+	settled := make(chan struct{})
+	if err := s.pool.TrySubmit(func() {
+		defer close(settled)
+		s.runSession(sess, body)
+	}); err != nil {
 		// Admission raced a concurrent drain; the session never ran.
 		s.mu.Lock()
 		s.cRejected.Inc()
@@ -157,7 +164,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	<-sess.done
+	<-settled
 
 	f, runErr := sess.Result()
 	if runErr != nil {

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,20 +21,33 @@ import (
 
 // traceBytes builds an in-memory binary trace touching `pages` distinct
 // pages round-robin for `refs` references.
-func traceBytes(t *testing.T, refs, pages int) []byte {
+func traceBytes(t testing.TB, refs, pages int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf)
+	tw, err := trace.NewBatchWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < refs; i++ {
-		tw.Access(uint64(workloads.DefaultHeapBase)+uint64(i%pages)*core.PageSize, i%7 == 0)
+	b := pageRefs(refs, pages)
+	for i := 0; i < refs; i += 7 {
+		b[i] = trace.MakeRef(b[i].VA(), true)
+	}
+	if err := tw.WriteBatch(b); err != nil {
+		t.Fatal(err)
 	}
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// pageRefs is n reads cycling round-robin over `pages` heap pages.
+func pageRefs(n, pages int) trace.Batch {
+	b := make(trace.Batch, n)
+	for i := range b {
+		b[i] = trace.MakeRef(uint64(workloads.DefaultHeapBase)+uint64(i%pages)*core.PageSize, false)
+	}
+	return b
 }
 
 // postSession streams a trace and decodes the results-file response.
@@ -221,12 +235,12 @@ func TestLiveScrapeMidRun(t *testing.T) {
 		}
 	}()
 
-	tw, err := trace.NewWriter(pw)
+	tw, err := trace.NewBatchWriter(pw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 250; i++ {
-		tw.Access(uint64(workloads.DefaultHeapBase)+uint64(i%16)*core.PageSize, false)
+	if err := tw.WriteBatch(pageRefs(250, 16)); err != nil {
+		t.Fatal(err)
 	}
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
@@ -278,7 +292,7 @@ func TestBackpressure(t *testing.T) {
 	defer ts.Close()
 
 	pr, pw := io.Pipe()
-	tw, err := trace.NewWriter(pw)
+	tw, err := trace.NewBatchWriter(pw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +303,9 @@ func TestBackpressure(t *testing.T) {
 		}
 	}()
 	// Wedge the single worker: stream half a window and stall.
-	tw.Access(uint64(workloads.DefaultHeapBase), false)
+	if err := tw.WriteBatch(pageRefs(1, 1)); err != nil {
+		t.Fatal(err)
+	}
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +354,7 @@ func TestDrain(t *testing.T) {
 	defer ts.Close()
 
 	pr, pw := io.Pipe()
-	tw, err := trace.NewWriter(pw)
+	tw, err := trace.NewBatchWriter(pw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +362,9 @@ func TestDrain(t *testing.T) {
 	go func() {
 		finished <- postSession(t, ts.URL, "", pr)
 	}()
-	tw.Access(uint64(workloads.DefaultHeapBase), false)
+	if err := tw.WriteBatch(pageRefs(1, 1)); err != nil {
+		t.Fatal(err)
+	}
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -374,8 +392,8 @@ func TestDrain(t *testing.T) {
 			raced++
 		}
 	}
-	for i := 0; i < 99; i++ {
-		tw.Access(uint64(workloads.DefaultHeapBase)+uint64(i%8)*core.PageSize, false)
+	if err := tw.WriteBatch(pageRefs(99, 8)); err != nil {
+		t.Fatal(err)
 	}
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
@@ -408,28 +426,45 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestBadTrace: garbage bytes settle the session as failed — reported on
-// the POST, in the session table, and in the failure counter.
+// TestBadTrace: a body the v2 decoder rejects settles the session as
+// failed — reported on the POST, in the session table, and in the failure
+// counter. That includes a stream in the retired v1 format and a frame
+// whose VA decodes outside the canonical 62-bit range.
 func TestBadTrace(t *testing.T) {
-	srv := New(Config{Workers: 1, SampleEvery: 64})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Drain()
+	// Two records: VA 2^62-1 (zigzag 2^63-2, shifted left), then +1.
+	payload := binary.AppendUvarint(nil, (1<<63-2)<<1)
+	payload = binary.AppendUvarint(payload, 1<<1<<1)
+	nonCanonical := binary.AppendUvarint([]byte("MTR2"), 2)
+	nonCanonical = binary.AppendUvarint(nonCanonical, uint64(len(payload)))
+	nonCanonical = append(nonCanonical, payload...)
 
-	resp, err := http.Post(ts.URL+"/sessions", "application/octet-stream", strings.NewReader("not a trace"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("POST garbage: %d, want 400", resp.StatusCode)
-	}
-	code, metrics := get(t, ts.URL+"/metrics")
-	if code != http.StatusOK || !strings.Contains(metrics, "mosaicd_sessions_failed 1") {
-		t.Errorf("/metrics missing mosaicd_sessions_failed 1:\n%s", metrics)
-	}
-	if code, _ := get(t, ts.URL+"/sessions/1/results.json"); code != http.StatusConflict {
-		t.Errorf("failed session results.json: %d, want 409", code)
+	for name, body := range map[string][]byte{
+		"garbage":       []byte("not a trace"),
+		"v1 stream":     []byte("MTR1\x02"),
+		"VA above 2^62": nonCanonical,
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := New(Config{Workers: 1, SampleEvery: 64})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			defer srv.Drain()
+
+			resp, err := http.Post(ts.URL+"/sessions", "application/octet-stream", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("POST %q: %d, want 400", body, resp.StatusCode)
+			}
+			code, metrics := get(t, ts.URL+"/metrics")
+			if code != http.StatusOK || !strings.Contains(metrics, "mosaicd_sessions_failed 1") {
+				t.Errorf("/metrics missing mosaicd_sessions_failed 1:\n%s", metrics)
+			}
+			if code, _ := get(t, ts.URL+"/sessions/1/results.json"); code != http.StatusConflict {
+				t.Errorf("failed session results.json: %d, want 409", code)
+			}
+		})
 	}
 }
 
@@ -519,6 +554,40 @@ func FuzzSessionQuery(f *testing.F) {
 			cfg.Frames < 1 || cfg.Frames > maxSessionFrames || cfg.Sample < 1 {
 			t.Fatalf("accepted out-of-range config %+v from %q", cfg, raw)
 		}
+	})
+}
+
+// FuzzSessionBody: an arbitrary frame stream after the v2 magic is answered
+// 200 or 400 — never a 5xx, never a crash — and the server that took it
+// still completes a well-formed session afterwards. Each input gets its own
+// small-memory server: a finished session keeps its simulator reachable
+// for the live endpoints, so one server shared across inputs would grow
+// without bound.
+func FuzzSessionBody(f *testing.F) {
+	good := traceBytes(f, 100, 4)
+	f.Add([]byte{})
+	f.Add(good[4:])
+	f.Add([]byte{0x01, 0x02, 0x00, 0x00})             // leftover payload bytes
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0x01}) // count over the cap
+	f.Add([]byte{0x01, 0x01, 0x02})                   // VA 0 - 1 wraps past 2^62
+
+	f.Fuzz(func(t *testing.T, frames []byte) {
+		srv := New(Config{Workers: 1, SampleEvery: 64})
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		defer srv.Drain()
+
+		const query = "frames=64&entries=8"
+		body := append([]byte("MTR2"), frames...)
+		resp, err := http.Post(ts.URL+"/sessions?"+query, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST MTR2+%x: %d, want 200 or 400", frames, resp.StatusCode)
+		}
+		postSession(t, ts.URL, query, bytes.NewReader(good))
 	})
 }
 

@@ -161,7 +161,7 @@ func (sess *Session) run(body io.Reader) {
 	sess.ob.Sampler.OnWindow(func(refs uint64) { sess.refs.Store(refs) })
 	sess.pub.AttachSampler(sess.ob.Sampler)
 
-	tr, err := trace.Open(body)
+	tr, err := trace.NewBatchReader(body)
 	if err != nil {
 		sess.fail(err)
 		return

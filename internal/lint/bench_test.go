@@ -8,8 +8,8 @@ import (
 // BenchmarkMosaiclintTree measures a full mosaiclint pass over the module —
 // parallel load plus every per-package analyzer (the hotalloc build gate is
 // excluded: it shells out to the compiler and is benchmarked by its wall
-// clock in check.sh, not here). scripts/bench.sh records this into
-// BENCH_lint.json so analyzer additions pay for their cost visibly.
+// clock in check.sh, not here), so analyzer additions pay for their cost
+// visibly.
 func BenchmarkMosaiclintTree(b *testing.B) {
 	for b.Loop() {
 		passes, err := Load([]string{"mosaic/..."})
@@ -28,7 +28,7 @@ func BenchmarkMosaiclintTree(b *testing.B) {
 // bottom-up fixpoint summaries — everything BuildProgram does after the
 // packages are loaded. Load is hoisted out of the loop so the number is
 // the marginal cost the fixpoint engine adds on top of the per-package
-// analyzers; scripts/bench.sh records it into BENCH_lint.json.
+// analyzers.
 func BenchmarkCallGraphBuild(b *testing.B) {
 	passes, err := Load([]string{"mosaic/..."})
 	if err != nil {
@@ -43,9 +43,7 @@ func BenchmarkCallGraphBuild(b *testing.B) {
 // BenchmarkCompilerGates measures the three compiler-introspection gates end
 // to end — hotalloc, bcegate, inlinegate — including the `go build` each
 // shells out to. On an unchanged tree the build cache replays the compiler's
-// diagnostics, so this is the steady-state cost every check.sh run pays;
-// scripts/bench.sh records it into BENCH_lint.json next to the analyzer
-// pass so gate additions stay visible in the same diff.
+// diagnostics, so this is the steady-state cost every check.sh run pays.
 func BenchmarkCompilerGates(b *testing.B) {
 	root, err := ModuleRoot()
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // MapOrder protects the sweep engine's headline guarantee — byte-identical
@@ -18,9 +17,8 @@ import (
 //     (result cells, series, events — the rows that reach results JSON);
 //     appending basic-typed elements is allowed, because collecting keys
 //     into a slice and sorting it is the canonical remedy;
-//   - writing through a reference sink (an Access method on a *Sink type
-//     or anything from internal/trace) — the reference stream itself would
-//     replay in map order;
+//   - calling anything in internal/trace (Batcher.Access, the encoders)
+//     — the reference stream itself would replay in map order;
 //   - contributing to a sweep.Merger (Put), setting an obs gauge, or
 //     recording obs events — last-writer-wins and append-ordered planes;
 //   - printing (fmt.Print family, the print/println builtins).
@@ -92,13 +90,6 @@ func orderedCall(p *Pass, call *ast.CallExpr) string {
 		return "sets an obs gauge (last-writer-wins)"
 	case pkg == "mosaic/internal/obs" && recvName == "EventLog":
 		return "records obs events"
-	case fn.Name() == "Access" && strings.Contains(recvName, "Sink"):
-		return "emits references through " + recvName + ".Access"
-	}
-	// Interface methods have no named receiver; classify Sink-shaped
-	// interfaces by the interface's declaring package or name.
-	if named == nil && fn.Name() == "Access" && pkg == "mosaic" {
-		return "emits references through a Sink"
 	}
 	return ""
 }

@@ -98,12 +98,12 @@ func sched(f *results.File, a, b chan float64) {
 
 // traceTaint: a tainted address entering the reference stream forks the
 // trace byte-for-byte.
-func traceTaint(w *trace.Writer) {
-	w.Access(uint64(time.Now().UnixNano()), false) // want "wall-clock-tainted value flows into a trace sink"
+func traceTaint(b *trace.Batcher) {
+	b.Access(uint64(time.Now().UnixNano()), false) // want "wall-clock-tainted value flows into a trace sink"
 }
 
 // traceBatchTaint: the same address handed to the writer in a batch.
-func traceBatchTaint(w *trace.Writer) {
+func traceBatchTaint(w *trace.BatchWriter) {
 	w.ProcessBatch(trace.Batch{trace.MakeRef(uint64(time.Now().UnixNano())>>2, false)}) // want "wall-clock-tainted value flows into a trace batch sink"
 }
 

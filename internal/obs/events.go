@@ -75,8 +75,8 @@ const defaultEventCap = 4096
 
 // EventLog collects events in a bounded in-memory ring and optionally
 // streams them as JSONL to a writer. Emit on a nil *EventLog is a no-op,
-// so components hold the pointer unconditionally. Like trace.Writer, write
-// errors are sticky and reported by Err rather than interrupting a
+// so components hold the pointer unconditionally. Like trace.BatchWriter,
+// write errors are sticky and reported by Err rather than interrupting a
 // simulation mid-run.
 type EventLog struct {
 	enc     *json.Encoder

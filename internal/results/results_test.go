@@ -187,27 +187,3 @@ func TestSanitize(t *testing.T) {
 		}
 	}
 }
-
-func TestParseGoBench(t *testing.T) {
-	out := `goos: linux
-goarch: amd64
-pkg: mosaic
-BenchmarkSamplerTick-8     	86745652	        13.84 ns/op	       0 B/op	       0 allocs/op
-BenchmarkAccess/mosaic-8   	 1000000	      1042 ns/op
-PASS
-ok  	mosaic	2.345s
-`
-	rs, err := ParseGoBench(strings.NewReader(out))
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if len(rs) != 2 {
-		t.Fatalf("parsed %d results, want 2: %+v", len(rs), rs)
-	}
-	if rs[0].Name != "BenchmarkSamplerTick-8" || rs[0].NsPerOp != 13.84 || rs[0].AllocsPerOp != 0 || rs[0].N != 86745652 {
-		t.Fatalf("first = %+v", rs[0])
-	}
-	if rs[1].Name != "BenchmarkAccess/mosaic-8" || rs[1].NsPerOp != 1042 {
-		t.Fatalf("second = %+v", rs[1])
-	}
-}

@@ -9,7 +9,7 @@ import "sync"
 // can reuse one buffer for the life of a replay.
 
 // Ref packs one reference into a single word: VA<<1 | writeBit. The VA must
-// be canonical (below 2^62, as the binary trace formats already require), so
+// be canonical (below 2^62, as the binary trace format already requires), so
 // the shifted form always fits.
 type Ref uint64
 
@@ -45,7 +45,8 @@ type BatchSink interface {
 	ProcessBatch(b Batch)
 }
 
-// Batcher is a Sink that accumulates references into a fixed-capacity batch
+// Batcher is the per-reference emit point: a generator's inner loop calls
+// Access, and the Batcher accumulates references into a fixed-capacity batch
 // and hands full batches to Next. The per-reference cost is one packed store
 // and a boundary compare — no dynamic dispatch until a batch fills. Call
 // Flush after the stream ends to deliver the partial tail.
@@ -65,7 +66,7 @@ func NewBatcher(next BatchSink, size int) *Batcher {
 	return &Batcher{Next: next, buf: make(Batch, size)}
 }
 
-// Access implements Sink. The body is MakeRef flattened by hand and the
+// Access appends one reference. The body is MakeRef flattened by hand and the
 // batch-boundary store lives out of line in deliver: what remains — pack,
 // store, increment, one compare — sits under the compiler's inlining budget,
 // so producers that call Access on the concrete *Batcher get the whole fast
@@ -130,5 +131,3 @@ func PutBatcher(b *Batcher) {
 	b.i = 0
 	batcherPool.Put(b)
 }
-
-var _ Sink = (*Batcher)(nil)

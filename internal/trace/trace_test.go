@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -55,92 +54,47 @@ func TestRecorderReplay(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	var want []Access
-	va := uint64(0x10000000)
-	for i := 0; i < 10000; i++ {
-		switch rng.Intn(3) {
-		case 0:
-			va += 8 // sequential
-		case 1:
-			va -= 16
-		case 2:
-			va = uint64(rng.Int63()) & (1<<57 - 1) // canonical VA range
-		}
-		a := Access{VA: va, Write: rng.Intn(4) == 0}
-		want = append(want, a)
-		w.Access(a.VA, a.Write)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != uint64(len(want)) {
-		t.Fatalf("Count = %d", w.Count())
-	}
-
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, wa := range want {
-		got, err := r.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if got != wa {
-			t.Fatalf("record %d = %+v, want %+v", i, got, wa)
-		}
-	}
-	if _, err := r.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("want EOF, got %v", err)
-	}
-}
-
-func TestReplayAll(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	for i := 0; i < 100; i++ {
-		w.Access(uint64(i)*4096, i%2 == 0)
-	}
-	_ = w.Flush()
-	r, _ := NewReader(&buf)
-	var c Counter
-	b := NewBatcher(&c, 0)
-	n, err := r.ReplayAll(b)
-	b.Flush()
-	if err != nil || n != 100 {
-		t.Fatalf("ReplayAll = %d, %v", n, err)
-	}
-	if c.Reads != 50 || c.Writes != 50 {
-		t.Errorf("counter = %+v", c)
-	}
-}
-
+// TestSequentialTraceIsCompact: delta encoding makes a sequential 8-byte
+// stride scan cost about one byte per record.
 func TestSequentialTraceIsCompact(t *testing.T) {
-	// Delta encoding: a sequential scan must cost ~1 byte per record.
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	for i := 0; i < 10000; i++ {
-		w.Access(0x10000000+uint64(i)*8, false)
+	accesses := make([]Access, 10000)
+	for i := range accesses {
+		accesses[i] = Access{VA: 0x10000000 + uint64(i)*8}
 	}
-	_ = w.Flush()
-	if perRec := float64(buf.Len()) / 10000; perRec > 1.5 {
+	data := writeV2(t, accesses, DefaultBatchSize)
+	if perRec := float64(len(data)) / float64(len(accesses)); perRec > 1.5 {
 		t.Errorf("sequential trace costs %.2f bytes/record", perRec)
 	}
 }
 
-func TestBadHeader(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("XXXX123"))); !errors.Is(err, ErrBadTrace) {
-		t.Errorf("bad magic: %v", err)
+// TestWriterCanonicalBoundary: 2^62-1, the largest canonical VA, is
+// accepted by the writer and survives the round trip.
+func TestWriterCanonicalBoundary(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewBatchWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewReader(bytes.NewReader([]byte("MT"))); !errors.Is(err, ErrBadTrace) {
-		t.Errorf("short header: %v", err)
+	_ = w.WriteBatch(Batch{MakeRef(1<<62-1, false)})
+	if w.Err() != nil {
+		t.Fatalf("2^62-1 must be canonical, got %v", w.Err())
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got := readAllV2(t, buf.Bytes())
+	if len(got) != 1 || got[0].VA != 1<<62-1 || got[0].Write {
+		t.Fatalf("round trip of boundary VA: %+v", got)
+	}
+}
+
+// TestBadHeader: a stream without the MTR2 magic — foreign bytes, a short
+// header, or another format's magic — is rejected before any frame.
+func TestBadHeader(t *testing.T) {
+	for _, hdr := range []string{"XXXX123", "MT", "MTR1\x10"} {
+		if _, err := NewBatchReader(bytes.NewReader([]byte(hdr))); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("header %q: err = %v, want ErrBadTrace", hdr, err)
+		}
 	}
 }
 
@@ -151,81 +105,36 @@ func TestZigzagProperty(t *testing.T) {
 	}
 }
 
+// TestVARoundTripProperty: arbitrary canonical VA streams survive a
+// one-frame encode/decode.
 func TestVARoundTripProperty(t *testing.T) {
 	f := func(vas []uint64) bool {
-		for i := range vas {
-			vas[i] &= 1<<57 - 1 // canonical VA range
+		b := make(Batch, len(vas))
+		for i, va := range vas {
+			b[i] = MakeRef(va&(1<<62-1), va%3 == 0)
 		}
 		var buf bytes.Buffer
-		w, _ := NewWriter(&buf)
-		for _, va := range vas {
-			w.Access(va, va%3 == 0)
-		}
-		if w.Flush() != nil {
+		w, _ := NewBatchWriter(&buf)
+		if w.WriteBatch(b) != nil || w.Flush() != nil {
 			return false
 		}
-		r, err := NewReader(&buf)
+		r, err := NewBatchReader(&buf)
 		if err != nil {
 			return false
 		}
-		for _, va := range vas {
-			a, err := r.Next()
-			if err != nil || a.VA != va || a.Write != (va%3 == 0) {
+		var rec Recorder
+		n, err := r.ReplayBatches(&rec)
+		if err != nil || n != uint64(len(b)) {
+			return false
+		}
+		for i, a := range rec.Accesses {
+			if MakeRef(a.VA, a.Write) != b[i] {
 				return false
 			}
 		}
-		_, err = r.Next()
-		return errors.Is(err, io.EOF)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestWriterNonCanonicalAddress verifies the steady-state failure mode: a
-// non-canonical VA must not panic (the writer may sit under a long-running
-// capture); it sets a sticky error surfaced by both Err and Flush, and the
-// writer drops all subsequent records.
-func TestWriterNonCanonicalAddress(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Access(0x1000, false)
-	w.Access(1<<62, true) // non-canonical
-	w.Access(0x2000, false)
-	if w.Count() != 1 {
-		t.Errorf("Count = %d, want 1 (records after the error must be dropped)", w.Count())
-	}
-	if err := w.Err(); !errors.Is(err, ErrNonCanonical) {
-		t.Errorf("Err() = %v, want ErrNonCanonical", err)
-	}
-	if err := w.Flush(); !errors.Is(err, ErrNonCanonical) {
-		t.Errorf("Flush() = %v, want ErrNonCanonical", err)
-	}
-}
-
-// TestWriterCanonicalBoundary pins the boundary: 2^62-1 encodes, 2^62 fails.
-func TestWriterCanonicalBoundary(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Access(1<<62-1, false)
-	if w.Err() != nil {
-		t.Fatalf("2^62-1 must be canonical, got %v", w.Err())
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := r.Next()
-	if err != nil || a.VA != 1<<62-1 {
-		t.Fatalf("round trip of boundary VA: %+v, %v", a, err)
 	}
 }

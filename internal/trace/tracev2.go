@@ -8,11 +8,11 @@ import (
 	"io"
 )
 
-// Binary trace format v2: the same varint record encoding as v1 —
-// (zigzag(VA delta) << 1 | write) — but block-framed so readers decode
-// whole frames straight into reusable Batch buffers instead of pulling one
-// varint at a time through an interface. The stream is the 4-byte magic
-// "MTR2" followed by frames, each:
+// Binary trace format v2, the only on-disk and on-wire trace format: one
+// varint per record — (zigzag(VA delta) << 1 | write) — block-framed so
+// readers decode whole frames straight into reusable Batch buffers and
+// validate each frame against its declared shape. The stream is the 4-byte
+// magic "MTR2" followed by frames, each:
 //
 //	uvarint record count | uvarint payload byte length | payload
 //
@@ -33,9 +33,9 @@ const MaxFrameRecords = 1 << 20
 const maxRecordBytes = binary.MaxVarintLen64
 
 // BatchWriter streams batches to an io.Writer in the v2 format, one frame
-// per WriteBatch call. Like Writer, errors are sticky: a non-canonical VA
-// or an underlying write failure drops all further frames and is reported
-// by Err and Flush.
+// per WriteBatch call. Errors are sticky: a non-canonical VA or an
+// underlying write failure drops all further frames and is reported by Err
+// and Flush.
 type BatchWriter struct {
 	w       *bufio.Writer
 	payload []byte
@@ -218,113 +218,4 @@ func (r *BatchReader) ReplayBatches(sink BatchSink) (uint64, error) {
 	}
 }
 
-// ReadBatch decodes up to cap(buf) records (DefaultBatchSize when buf has
-// no capacity) from a v1 trace into buf's backing storage, so v1 streams
-// replay through the batched path too; io.EOF signals a clean end. Only the
-// first record may block: once the underlying buffer can no longer
-// guarantee a whole record, the partial batch is returned rather than
-// waiting for more bytes, so a live stream (a session fed through a pipe)
-// observes every record with bounded delay instead of stalling until a
-// full batch accumulates. A mid-batch decode error returns the records
-// decoded before it alongside the error; callers that want scalar-ReplayAll
-// semantics must consume that partial batch before handling the error.
-func (r *Reader) ReadBatch(buf Batch) (Batch, error) {
-	max := cap(buf)
-	if max == 0 {
-		max = DefaultBatchSize
-	}
-	buf = buf[:0]
-	for len(buf) < max {
-		a, err := r.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) && len(buf) > 0 {
-				return buf, nil
-			}
-			return buf, err
-		}
-		buf = append(buf, MakeRef(a.VA, a.Write))
-		if r.r.Buffered() < maxRecordBytes {
-			break
-		}
-	}
-	return buf, nil
-}
-
-// ReplayBatches streams the v1 trace into sink in DefaultBatchSize batches,
-// returning the record count. A malformed stream delivers every record
-// decoded before the error — ReadBatch can return records alongside a
-// non-EOF error — so the delivered stream and count match what the scalar
-// ReplayAll produces on the same bytes.
-func (r *Reader) ReplayBatches(sink BatchSink) (uint64, error) {
-	var n uint64
-	buf := make(Batch, 0, DefaultBatchSize)
-	for {
-		b, err := r.ReadBatch(buf)
-		if len(b) > 0 {
-			sink.ProcessBatch(b)
-			n += uint64(len(b))
-		}
-		if errors.Is(err, io.EOF) {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		buf = b
-	}
-}
-
-// Source is a replayable trace stream of either binary format.
-type Source interface {
-	// ReplayBatches streams every record into a batch sink.
-	ReplayBatches(sink BatchSink) (uint64, error)
-}
-
-// Open sniffs the magic and returns a Source for either trace format, so
-// replay consumers (tracegen -replay, the mosaicd session path) accept v1
-// and v2 streams interchangeably.
-func Open(r io.Reader) (Source, error) {
-	br := bufio.NewReader(r)
-	hdr, err := br.Peek(4)
-	if err != nil {
-		return nil, fmt.Errorf("%w: missing header: %v", ErrBadTrace, err)
-	}
-	switch {
-	case [4]byte(hdr) == magic:
-		return NewReader(br)
-	case [4]byte(hdr) == magicV2:
-		return NewBatchReader(br)
-	}
-	return nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, hdr)
-}
-
-// ConvertV1 transcodes a v1 trace stream into the v2 format in
-// DefaultBatchSize frames, returning the record count. The record payloads
-// are identical varints; only the framing (and the per-frame delta reset)
-// changes, so the conversion round-trips byte-identically at the Access
-// level.
-func ConvertV1(dst io.Writer, src io.Reader) (uint64, error) {
-	r, err := NewReader(src)
-	if err != nil {
-		return 0, err
-	}
-	w, err := NewBatchWriter(dst)
-	if err != nil {
-		return 0, err
-	}
-	n, err := r.ReplayBatches(w)
-	if err != nil {
-		return n, err
-	}
-	if err := w.Flush(); err != nil {
-		return n, err
-	}
-	return n, nil
-}
-
-var (
-	_ BatchSink = (*BatchWriter)(nil)
-	_ BatchSink = (*Writer)(nil)
-	_ Source    = (*Reader)(nil)
-	_ Source    = (*BatchReader)(nil)
-)
+var _ BatchSink = (*BatchWriter)(nil)

@@ -59,6 +59,7 @@ go test -race -timeout 300s ./...
 go test -run='^$' -fuzz=Fuzz -fuzztime=3s ./internal/iceberg
 go test -run='^$' -fuzz=FuzzBatchEncodeDecode -fuzztime=3s ./internal/trace
 go test -run='^$' -fuzz=FuzzSessionQuery -fuzztime=3s ./internal/daemon
+go test -run='^$' -fuzz=FuzzSessionBody -fuzztime=3s ./internal/daemon
 # Scalar ≡ batch equivalence gate: the batched replay engine must produce a
 # byte-identical results file (counters, series, event ref-indices) to the
 # scalar Access path, for a fig6-style replay and a multiprogram
@@ -87,6 +88,10 @@ go run ./cmd/mosaicstat diff "$tmp/fig6-smoke.json" "$tmp/fig6-smoke.json" >/dev
 go build -o "$tmp/mosaicd" ./cmd/mosaicd
 go build -o "$tmp/tracegen" ./cmd/tracegen
 go build -o "$tmp/mosaicstat" ./cmd/mosaicstat
+# Capture → replay round trip through the trace file CLI.
+"$tmp/tracegen" -workload gups -footprint 8 -maxrefs 200000 \
+	-out "$tmp/gups.trace" >/dev/null
+"$tmp/tracegen" -replay "$tmp/gups.trace" | grep -q '^replayed 200000 refs'
 "$tmp/mosaicd" -addr 127.0.0.1:0 -addrfile "$tmp/addr" -sample 10000 \
 	-final "$tmp/mosaicd-final.json" >"$tmp/mosaicd.log" 2>&1 &
 mosaicd_pid=$!
